@@ -32,7 +32,7 @@ from .redgraph import (
     ARG,
     ExtendedARG,
     InvalidGraphError,
-    _edge_key,
+    _edges_to_json,
     _id_key,
     arg_to_json,
     build_extended_reduction_graph,
@@ -87,22 +87,17 @@ def _load_json_file(path: str):
         raise InvalidGraphError([f"bad JSON in {path}: {exc}"]) from exc
 
 
-def _sorted_edges(edges) -> list[tuple[str, str]]:
-    pairs = [tuple(sorted(e, key=_id_key)) for e in edges]
-    return sorted(pairs, key=lambda pair: _edge_key(frozenset(pair)))
-
-
 def _arg_to_dot(g: ARG, merge=None) -> str:
     lines = ["graph reduction {"]
     for v in sorted(g.vertices, key=_id_key):
         caption = g.label[v] if v in g.label else v
         lines.append(f'  "{v}" [label="{caption}"];')
-    for a, b in _sorted_edges(g.reality):
+    for a, b in _edges_to_json(g.reality):
         lines.append(f'  "{a}" -- "{b}" [style=bold];')
-    for a, b in _sorted_edges(g.desire):
+    for a, b in _edges_to_json(g.desire):
         lines.append(f'  "{a}" -- "{b}";')
     if merge is not None:
-        for a, b in _sorted_edges(merge):
+        for a, b in _edges_to_json(merge):
             lines.append(f'  "{a}" -- "{b}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines)
@@ -117,7 +112,7 @@ def _arg_to_text(g: ARG, merge=None) -> str:
     for name, edges in (("reality", g.reality), ("desire", g.desire), ("merge", merge)):
         if edges is None:
             continue
-        lines.append(f"{name}: " + " ".join(f"{a}-{b}" for a, b in _sorted_edges(edges)))
+        lines.append(f"{name}: " + " ".join(f"{a}-{b}" for a, b in _edges_to_json(edges)))
     return "\n".join(lines)
 
 
@@ -151,7 +146,11 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_pc(args) -> int:
-    if Path(args.source).is_file():
+    try:
+        is_file = Path(args.source).is_file()
+    except OSError:  # ENAMETOOLONG: a legal string too long for a file name
+        is_file = False
+    if is_file:
         g = validate_arg(_load_json_file(args.source))
     else:
         g = build_reduction_graph(parse_legal_string(args.source))

@@ -16,8 +16,7 @@ arbitrary merge-legal set.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .pcgraph import (
     PointerComponentGraph,
@@ -28,12 +27,13 @@ from .pcgraph import (
 )
 from .redgraph import (
     ARG,
-    ColouredBase,
     Edge,
     ExtendedARG,
     InvalidGraphError,
-    _components,
-    _id_key,
+    _pair,
+    _partners,
+    _positional_base,
+    _walk,
     desire_partition,
     dom,
     legalization_representative,
@@ -47,22 +47,6 @@ FlipSet = frozenset  # frozenset[int]
 
 class OutOfRangeError(ValueError):
     """The graph is not isomorphic to any reduction graph."""
-
-
-def _symbol_vertices(g: ARG, p: int) -> list[str]:
-    vs = sorted((v for v, q in g.label.items() if q == p), key=_id_key)
-    if len(vs) != 4:
-        raise ValueError(f"symbol {p} not in the domain of the graph")
-    return vs
-
-
-def _matchings(vs: list[str]) -> list[frozenset]:
-    a, b, c, d = vs
-    return [
-        frozenset({frozenset({a, b}), frozenset({c, d})}),
-        frozenset({frozenset({a, c}), frozenset({b, d})}),
-        frozenset({frozenset({a, d}), frozenset({b, c})}),
-    ]
 
 
 def is_merge_legal(g: ARG, e: Iterable[Edge]) -> bool:
@@ -90,17 +74,12 @@ def some_merge_legal(g: ARG) -> frozenset:
     desire edges, take the one containing the smallest non-desire pair
     (pairs ordered by sorted vertex ids).
     """
+    ids = g._index.ids
     out: set[Edge] = set()
-    for p in sorted(dom(g)):
-        vs = _symbol_vertices(g, p)
-        desire = desire_partition(g, p)
-        for a, b in combinations(vs, 2):
-            pair = frozenset({a, b})
-            if pair not in desire:
-                rest = frozenset(set(vs) - pair)
-                out.add(pair)
-                out.add(rest)
-                break
+    for a, b, c, d in g._index.quads.values():
+        # a is the smallest vertex and b its desire partner, c < d
+        out.add(_pair(ids[a], ids[c]))
+        out.add(_pair(ids[b], ids[d]))
     return frozenset(out)
 
 
@@ -109,7 +88,16 @@ def is_theta(g: ARG, e: Iterable[Edge]) -> bool:
     edges = frozenset(frozenset(x) for x in e)
     if not is_merge_legal(g, edges):
         raise ValueError("edge set is not merge-legal for the graph")
-    return len(_components(g.vertices, g.reality | edges)) == 1
+    idx = g._index
+    return len(_walk(idx.reality, _partners(idx.num, edges), idx.s)) == len(idx.ids)
+
+
+def _symbol_edges(g: ARG, edges: frozenset, p: int) -> tuple[frozenset, frozenset, frozenset]:
+    """p's edges in edges, and p's two matchings that avoid the desire edges."""
+    (a, b), (c, d) = desire_partition(g, p)
+    pairs = (_pair(a, c), _pair(b, d), _pair(a, d), _pair(b, c), _pair(a, b), _pair(c, d))
+    own = frozenset(x for x in pairs if x in edges)
+    return own, frozenset(pairs[:2]), frozenset(pairs[2:4])
 
 
 def flip(g: ARG, e: Iterable[Edge], p: int) -> frozenset:
@@ -119,34 +107,34 @@ def flip(g: ARG, e: Iterable[Edge], p: int) -> frozenset:
     unchanged.  Self-inverse, and flips for distinct symbols commute.
     """
     edges = frozenset(frozenset(x) for x in e)
-    vs = _symbol_vertices(g, p)
-    desire = desire_partition(g, p)
-    current = frozenset(edge for edge in edges if all(g.label.get(v) == p for v in edge))
-    remaining = [m for m in _matchings(vs) if m != desire and m != current]
-    if len(remaining) != 1:
+    current, one, other = _symbol_edges(g, edges, p)
+    if current not in (one, other):
         raise ValueError(f"edges of symbol {p} do not form a merge-legal matching")
-    return (edges - current) | remaining[0]
+    return (edges - current) | (other if current == one else one)
 
 
 def flip_set(g: ARG, e: Iterable[Edge], d: Iterable[int]) -> frozenset:
-    """Fold flip over the symbols of d; the order cannot matter."""
+    """Fold flip over the symbols of d; the order cannot matter.
+
+    Each flip sees only its own symbol's edges, so the fold takes time
+    linear in |e| + |d|.
+    """
     symbols = frozenset(d)
     if not symbols <= dom(g):
         raise ValueError("flip set is not a subset of the domain")
     edges = frozenset(frozenset(x) for x in e)
-    for p in sorted(symbols):
-        edges = flip(g, edges, p)
-    return edges
+    own = {p: _symbol_edges(g, edges, p)[0] for p in sorted(symbols)}
+    return edges.difference(*own.values()).union(*(flip(g, own[p], p) for p in own))
 
 
 def find_theta(g: ARG) -> frozenset | None:
     """Some merge edge set connecting the graph, or None when none exists.
 
-    Start from any merge-legal set e; the components of reality plus e
-    shrink to one exactly when the flipped symbols form a spanning tree
-    of the pointer-component graph of that intermediate graph.  That
-    graph is connected iff the original one is, so connectivity of the
-    pointer-component graph decides existence.
+    Start from any merge-legal set e.  Flipping the symbols of any
+    spanning tree of the pointer-component graph of reality plus e
+    connects the graph; not only spanning trees do.  That multigraph is
+    connected iff the original pointer-component graph is, so its
+    connectivity decides existence.
     """
     e = some_merge_legal(g)
     pc = pointer_component_graph(ARG(base=g.base, reality=g.reality, desire=e))
@@ -162,13 +150,12 @@ def _as_arg(data) -> ARG:
 def is_reduction_graph(data) -> bool:
     """Whether the data describes a graph isomorphic to a reduction
     graph: a valid abstract reduction graph whose pointer-component
-    graph is connected.  False (not an error) on malformed data."""
-    if not isinstance(data, ARG):
-        try:
-            data = validate_arg(data)
-        except InvalidGraphError:
-            return False
-    return is_connected(pointer_component_graph(data))
+    graph is connected.  False (not an error) on malformed data,
+    whether raw or an ARG built directly."""
+    try:
+        return is_connected(pointer_component_graph(_as_arg(data)))
+    except InvalidGraphError:
+        return False
 
 
 def recover_legal_string(data) -> LegalString:
@@ -203,7 +190,9 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
     if not is_connected(m):
         raise OutOfRangeError("a disconnected multigraph is no pointer-component graph")
 
-    slots: dict[str, list[int]] = {n: [] for n in m.nodes}
+    # slots in sorted node order; slot j becomes the desire edge Ij-Ij',
+    # ids whose natural order is known without sorting
+    slots: dict[str, list[int]] = {n: [] for n in sorted(m.nodes)}
     for p in sorted(m.endpoints):
         ends = sorted(m.endpoints[p])
         if len(ends) == 1:
@@ -212,19 +201,13 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
             slots[ends[0]].append(p)
             slots[ends[1]].append(p)
 
-    label: dict[str, int] = {}
-    desire: set[Edge] = set()
+    base, all_heads, all_tails = _positional_base([p for ps in slots.values() for p in ps])
     reality: set[Edge] = set()
+    done = 0
     for node, symbols in slots.items():
-        heads = []
-        tails = []
-        for i, p in enumerate(symbols):
-            a, b = f"{node}:{i}a", f"{node}:{i}b"
-            label[a] = label[b] = p
-            desire.add(frozenset({a, b}))
-            heads.append(a)
-            tails.append(b)
         k = len(symbols)
+        heads, tails = all_heads[done : done + k], all_tails[done : done + k]
+        done += k
         if node == linear_node:
             if k == 0:
                 reality.add(frozenset({"s", "t"}))
@@ -236,10 +219,8 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
             # connectivity guarantees k >= 1 here, so the cycle is real
             reality.update(frozenset({tails[i], heads[(i + 1) % k]}) for i in range(k))
 
-    vertices = frozenset(label) | {"s", "t"}
-    base = ColouredBase(vertices=vertices, s="s", t="t", label=label)
-    g = ARG(base=base, reality=frozenset(reality), desire=frozenset(desire))
-    return recover_legal_string(g)
+    desire = frozenset(map(_pair, all_heads, all_tails))
+    return recover_legal_string(ARG(base=base, reality=frozenset(reality), desire=desire))
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .redgraph import ARG, InvalidGraphError, _id_key, components
+from .redgraph import ARG, InvalidGraphError, _decompose
 
 
 @dataclass(frozen=True, eq=True)
@@ -49,17 +49,15 @@ def pointer_component_graph(g: ARG) -> PointerComponentGraph:
     Node ids are the smallest vertex id of each component, under the
     natural order that puts I2 before I10.
     """
-    comps = components(g)
-    node_of: dict[str, str] = {}
-    for comp in comps:
-        name = min(comp, key=_id_key)
-        for v in comp:
-            node_of[v] = name
-    by_symbol: dict[int, set[str]] = {}
-    for v, p in g.label.items():
-        by_symbol.setdefault(p, set()).add(node_of[v])
-    endpoints = {p: frozenset(ns) for p, ns in by_symbol.items()}
-    return PointerComponentGraph(nodes=frozenset(node_of[v] for v in node_of), endpoints=endpoints)
+    idx = g._index
+    name = idx.ids[:]
+    for walk in _decompose(idx):
+        first = idx.ids[min(walk)]
+        for v in walk:
+            name[v] = first
+    # a-b and c-d are desire edges, so each lies inside one component
+    endpoints = {p: frozenset((name[a], name[c])) for p, (a, _, c, _) in idx.quads.items()}
+    return PointerComponentGraph(nodes=frozenset(name), endpoints=endpoints)
 
 
 def bridge_set(m: PointerComponentGraph) -> frozenset[int]:
@@ -89,24 +87,9 @@ def merge_rule(m: PointerComponentGraph, p: int) -> PointerComponentGraph:
 
 def is_connected(m: PointerComponentGraph) -> bool:
     """Multigraph connectivity; loops are irrelevant."""
-    if not m.nodes:
-        return True
-    adj: dict[str, set[str]] = {n: set() for n in m.nodes}
-    for ends in m.endpoints.values():
-        if len(ends) == 2:
-            a, b = tuple(ends)
-            adj[a].add(b)
-            adj[b].add(a)
-    start = next(iter(m.nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(m.nodes)
+    uf = _UnionFind(m.nodes)
+    joins = sum(uf.union(*ends) for ends in m.endpoints.values() if len(ends) == 2)
+    return joins >= len(m.nodes) - 1
 
 
 class _UnionFind:

@@ -38,15 +38,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .strings import LegalString, Pointer
 
 Edge = frozenset  # frozenset[str] with exactly two vertex ids
-
-REALITY = 0
-DESIRE = 1
-
 
 class InvalidGraphError(ValueError):
     """Raised when raw graph data violates the required shape.
@@ -78,6 +75,12 @@ class ColouredBase:
         if set(self.label) != set(self.vertices) - {self.s, self.t}:
             raise ValueError("label must be defined exactly on the non-endpoint vertices")
 
+    # the vertex ids in natural order, which numbers them in ARG._index;
+    # cached in the instance __dict__, outside the dataclass fields
+    @cached_property
+    def _order(self) -> list[str]:
+        return sorted(self.vertices, key=_id_key)
+
 
 @dataclass(frozen=True, eq=True)
 class ARG:
@@ -104,6 +107,88 @@ class ARG:
     def label(self) -> Mapping[str, int]:
         return self.base.label
 
+    # cached_property writes to the instance __dict__, outside the
+    # dataclass fields, so ==, hash and repr ignore the cache
+    @cached_property
+    def _index(self) -> _Index:
+        return _Index(self)
+
+
+class _Index:
+    """Integer view of an ARG, built on first use and cached on it.
+
+    Vertices are numbered in the natural order of their ids: vertex i
+    has id ids[i] (num is the inverse) and label label[i], 0 on s and t.
+    reality[i] and desire[i] are i's partners, desire -1 on s and t.
+    quads[p] = (a, b, c, d) lists p's four vertices with a-b and c-d its
+    desire edges, a < b, c < d and a < c.  Building it checks the shape
+    conditions of the module docstring and raises InvalidGraphError when
+    one fails, so every walk over the arrays ends within |V| steps.
+    """
+
+    __slots__ = ("ids", "num", "label", "reality", "desire", "quads", "s")
+
+    def __init__(self, g: ARG):
+        self.ids = ids = g.base._order
+        self.num = num = {v: i for i, v in enumerate(ids)}
+        self.label = label = [g.label.get(v, 0) for v in ids]
+        self.reality = reality = _partners(num, g.reality)
+        self.desire = desire = _partners(num, g.desire)
+        self.s = num[g.s]
+        self.quads = quads = {}
+        for v, w in enumerate(desire or ()):
+            if v < w and label[v] == label[w]:
+                quads.setdefault(label[v], []).extend((v, w))
+        # each labelled vertex, and no other, needs a desire partner in its class of four
+        ok = None not in (reality, desire) and -1 not in reality
+        ok = ok and sum(map(len, quads.values())) == len(g.label)
+        if not ok or any(len(q) != 4 or not _is_symbol(p) for p, q in quads.items()):
+            raise InvalidGraphError(_shape_problems(g.vertices, g.label, g.reality, g.desire))
+
+
+def _partners(num: Mapping[str, int], edges: Iterable[Edge]) -> list[int] | None:
+    """Partner array of a matching, or None when some edge is not a pair
+    of distinct vertices of num or two edges share a vertex."""
+    out = [-1] * len(num)
+    for edge in edges:
+        try:
+            a, b = edge
+            x, y = num[a], num[b]
+        except (KeyError, TypeError, ValueError):
+            return None
+        if x == y or out[x] >= 0 or out[y] >= 0:
+            return None
+        out[x], out[y] = y, x
+    return out
+
+
+def _walk(first: list[int], second: list[int], start: int) -> list[int]:
+    """The walk from start stepping along the first partner array, then
+    the second, and so on, until it closes at start or meets a vertex
+    without partner (-1).  Every component over two matchings is a path
+    or a cycle, so this finds it; a walk longer than |V| raises."""
+    arrays = (second, first)
+    walk, v = [start], first[start]
+    while v != start and v >= 0:
+        if len(walk) == len(first):
+            raise InvalidGraphError(["alternating walk longer than the vertex count"])
+        walk.append(v)
+        v = arrays[len(walk) % 2][v]
+    return walk
+
+
+def _decompose(idx: _Index) -> list[list[int]]:
+    """The s-t path, then every cycle, of reality plus desire edges."""
+    seen = [False] * len(idx.ids)
+    walks = []
+    for start in [idx.s, *range(len(seen))]:
+        if not seen[start]:
+            walk = _walk(idx.reality, idx.desire, start)
+            for v in walk:
+                seen[v] = True
+            walks.append(walk)
+    return walks
+
 
 def dom(g: ARG) -> frozenset[int]:
     """The set of symbols used as vertex labels."""
@@ -123,21 +208,30 @@ class ExtendedARG:
     merge: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        g = self.arg
-        covered: set[str] = set()
+        idx = self.arg._index
+        merge = [-1] * len(idx.ids)
+        overlap = False
         for e in self.merge:
             a, b = sorted(e)
-            if g.label.get(a) is None or g.label.get(a) != g.label.get(b):
+            x, y = idx.num.get(a), idx.num.get(b)
+            if x is None or y is None or not idx.label[x] or idx.label[x] != idx.label[y]:
                 raise ValueError(f"merge edge {sorted(e)} does not join equal labels")
-            if e in g.desire:
+            if idx.desire[x] == y:
                 raise ValueError(f"merge edge {sorted(e)} is also a desire edge")
-            covered.update(e)
-        if covered != set(g.vertices) - {g.s, g.t}:
+            overlap = overlap or merge[x] >= 0 or merge[y] >= 0
+            merge[x], merge[y] = y, x
+        if any(p and m < 0 for p, m in zip(idx.label, merge)):
             raise ValueError("merge edges must cover every labelled vertex exactly once")
-        if 2 * len(self.merge) != len(covered):
+        if overlap:
             raise ValueError("merge edges overlap")
-        if len(_components(g.vertices, g.reality | self.merge)) != 1:
+        path = _walk(idx.reality, merge, idx.s)
+        if len(path) != len(merge):
             raise ValueError("reality and merge edges do not connect the graph")
+        # the s-t path and path positions, cached outside the dataclass fields
+        pos = [0] * len(path)
+        for k, v in enumerate(path):
+            pos[v] = k
+        self.__dict__.update(_path=path, _pos=pos)
 
 
 @dataclass(frozen=True, eq=True)
@@ -168,12 +262,23 @@ def _pair(a: str, b: str) -> Edge:
     return frozenset((a, b))
 
 
+def _positional_base(symbols: list[int]) -> tuple[ColouredBase, list[str], list[str]]:
+    """Vertices I1, I1', ..., In, In' labelled by the n symbols, plus s
+    and t, with the lists of the Ii and of the Ii'.  I1 < I1' < I2 < ...
+    < In' < s < t is their natural order, so it is set, not sorted for."""
+    left = [f"I{i}" for i in range(1, len(symbols) + 1)]
+    right = [f"{v}'" for v in left]
+    order = [v for pair in zip(left, right) for v in pair]
+    label = dict(zip(order, (p for p in symbols for _ in "ab")))
+    base = ColouredBase(vertices=frozenset(order) | {"s", "t"}, s="s", t="t", label=label)
+    base.__dict__["_order"] = order + ["s", "t"]
+    return base, left, right
+
+
 def build_reduction_graph(u: LegalString) -> ARG:
     """Construct the reduction graph of a legal string."""
     n = len(u)
-    left = [f"I{i}" for i in range(1, n + 1)]
-    right = [f"I{i}'" for i in range(1, n + 1)]
-    vertices = frozenset(left) | frozenset(right) | {"s", "t"}
+    base, left, right = _positional_base([x.symbol for x in u.letters])
 
     if n == 0:
         reality = frozenset({_pair("s", "t")})
@@ -194,9 +299,6 @@ def build_reduction_graph(u: LegalString) -> ARG:
             desire.add(_pair(left[i], left[j]))
             desire.add(_pair(right[i], right[j]))
 
-    label = {left[i]: u.letters[i].symbol for i in range(n)}
-    label.update({right[i]: u.letters[i].symbol for i in range(n)})
-    base = ColouredBase(vertices=vertices, s="s", t="t", label=label)
     return ARG(base=base, reality=reality, desire=frozenset(desire))
 
 
@@ -213,20 +315,26 @@ def arg_diagnostics(data) -> list[str]:
     Returns a list of violated conditions, empty when the data describes
     a valid abstract reduction graph.
     """
+    problems, parsed = _read_graph(data)
+    return problems if parsed is None else _shape_problems(*parsed)
+
+
+def _read_graph(data) -> tuple[list[str], tuple | None]:
+    # checks of the raw data: (problems, None), or ([], (ids, label, reality, desire))
     problems: list[str] = []
     if not isinstance(data, Mapping):
-        return ["graph data must be a JSON object"]
+        return ["graph data must be a JSON object"], None
     for key in ("vertices", "reality", "desire"):
         if key not in data:
             problems.append(f"missing key {key!r}")
     if problems:
-        return problems
+        return problems, None
 
     label: dict[str, int] = {}
     ids: set[str] = set()
     unlabelled: list[str] = []
     if not isinstance(data["vertices"], list):
-        return ["'vertices' must be a list"]
+        return ["'vertices' must be a list"], None
     for entry in data["vertices"]:
         if not isinstance(entry, Mapping) or "id" not in entry or not isinstance(entry["id"], str):
             problems.append(f"bad vertex entry {entry!r}")
@@ -238,7 +346,7 @@ def arg_diagnostics(data) -> list[str]:
         ids.add(vid)
         if "label" in entry:
             value = entry["label"]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 2:
+            if not _is_symbol(value):
                 problems.append(f"vertex {vid!r} has bad label {value!r}")
             else:
                 label[vid] = value
@@ -247,7 +355,7 @@ def arg_diagnostics(data) -> list[str]:
     if sorted(unlabelled) != ["s", "t"]:
         problems.append(f"unlabelled vertices must be exactly 's' and 't', got {sorted(unlabelled)}")
     if problems:
-        return problems
+        return problems, None
 
     def read_edges(key: str) -> list[Edge] | None:
         if not isinstance(data[key], list):
@@ -271,27 +379,46 @@ def arg_diagnostics(data) -> list[str]:
     reality = read_edges("reality")
     desire = read_edges("desire")
     if problems or reality is None or desire is None:
+        return problems, None
+    return problems, (ids, label, reality, desire)
+
+
+def _is_symbol(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 2
+
+
+def _shape_problems(vertices, label, reality, desire) -> list[str]:
+    """Every violated shape condition of a graph whose unlabelled
+    vertices are exactly its two endpoints.  Only the vertices reported
+    are sorted, so a valid graph costs one pass over its edges."""
+    problems = [
+        f"vertex {v!r} has bad label {label[v]!r}"
+        for v in sorted((v for v in label if not _is_symbol(label[v])), key=_id_key)
+    ]
+    for key, edges in (("reality", reality), ("desire", desire)):
+        for e in edges:
+            if len(e) != 2 or not set(e) <= vertices:
+                problems.append(f"{key} edge {sorted(e)} is not a pair of distinct vertices")
+    if problems:
         return problems
 
     # condition (1): every used label occurs on exactly four vertices
     counts: dict[int, int] = {}
     for v in label.values():
         counts[v] = counts.get(v, 0) + 1
-    for p in sorted(counts):
-        if counts[p] != 4:
-            problems.append(f"label {p} occurs on {counts[p]} vertices, expected 4")
+    for p in sorted(p for p, c in counts.items() if c != 4):
+        problems.append(f"label {p} occurs on {counts[p]} vertices, expected 4")
 
     # condition (2): reality edges form a perfect matching of all vertices
-    seen: dict[str, int] = {v: 0 for v in ids}
+    seen = dict.fromkeys(vertices, 0)
     for e in reality:
         for v in e:
             seen[v] += 1
-    for v in sorted(seen, key=_id_key):
-        if seen[v] != 1:
-            problems.append(f"vertex {v!r} lies in {seen[v]} reality edges, expected exactly 1")
+    for v in sorted((v for v, c in seen.items() if c != 1), key=_id_key):
+        problems.append(f"vertex {v!r} lies in {seen[v]} reality edges, expected exactly 1")
 
     # condition (3): desire edges are desirable
-    dcount: dict[str, int] = {v: 0 for v in ids}
+    dcount = dict.fromkeys(label, 0)
     for e in desire:
         a, b = sorted(e)
         if a not in label or b not in label:
@@ -301,27 +428,27 @@ def arg_diagnostics(data) -> list[str]:
             problems.append(f"desire edge {[a, b]} joins labels {label[a]} and {label[b]}")
         dcount[a] += 1
         dcount[b] += 1
-    for v in sorted(ids - {"s", "t"}, key=_id_key):
-        if dcount[v] != 1:
-            problems.append(f"vertex {v!r} lies in {dcount[v]} desire edges, expected exactly 1")
-
+    for v in sorted((v for v, c in dcount.items() if c != 1), key=_id_key):
+        problems.append(f"vertex {v!r} lies in {dcount[v]} desire edges, expected exactly 1")
     return problems
 
 
 def validate_arg(data) -> ARG:
     """Build a typed graph from raw data, raising InvalidGraphError with
     the full list of violated conditions when the shape is wrong."""
-    problems = arg_diagnostics(data)
-    if problems:
+    problems, parsed = _read_graph(data)
+    if parsed is None:
         raise InvalidGraphError(problems)
-    label = {e["id"]: e["label"] for e in data["vertices"] if "label" in e}
-    vertices = frozenset(e["id"] for e in data["vertices"])
-    base = ColouredBase(vertices=vertices, s="s", t="t", label=label)
-    return ARG(
-        base=base,
-        reality=frozenset(_pair(*e) for e in data["reality"]),
-        desire=frozenset(_pair(*e) for e in data["desire"]),
-    )
+    ids, label, reality, desire = parsed
+    base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=label)
+    g = ARG(base=base, reality=frozenset(reality), desire=frozenset(desire))
+    if len(g.reality) == len(reality) and len(g.desire) == len(desire):  # no edge listed twice
+        try:
+            g._index  # checks the shape
+            return g
+        except InvalidGraphError:
+            pass
+    raise InvalidGraphError(_shape_problems(*parsed))
 
 
 def extended_from_json(data) -> ExtendedARG:
@@ -372,90 +499,31 @@ def extended_to_json(e: ExtendedARG) -> dict:
 
 def desire_partition(g: ARG, p: int) -> frozenset[Edge]:
     """The two desire edges whose endpoints carry label p."""
-    edges = frozenset(e for e in g.desire if all(g.label.get(v) == p for v in e))
-    if len(edges) != 2:
+    idx = g._index
+    if p not in idx.quads:
         raise ValueError(f"symbol {p} not in the domain of the graph")
-    return edges
-
-
-def _components(vertices: frozenset[str], edges: Iterable[Edge]) -> list[frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[str] = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+    a, b, c, d = (idx.ids[v] for v in idx.quads[p])
+    return frozenset({_pair(a, b), _pair(c, d)})
 
 
 def components(g: ARG) -> list[frozenset[str]]:
     """Connected components over reality and desire edges together."""
-    return _components(g.vertices, g.reality | g.desire)
-
-
-def _neighbour_maps(g: ARG) -> tuple[dict[str, str], dict[str, str]]:
-    reality: dict[str, str] = {}
-    desire: dict[str, str] = {}
-    for e in g.reality:
-        a, b = tuple(e)
-        reality[a], reality[b] = b, a
-    for e in g.desire:
-        a, b = tuple(e)
-        desire[a], desire[b] = b, a
-    return reality, desire
+    ids = g._index.ids
+    return [frozenset(ids[v] for v in walk) for walk in _decompose(g._index)]
 
 
 def canonical_form(g: ARG) -> CanonicalForm:
     """Canonical form of the path plus cycle decomposition."""
-    reality, desire = _neighbour_maps(g)
-
-    # the s-t path: colours are forced to alternate starting with reality
-    path_word = []
-    on_path = {g.s}
-    v = reality[g.s]
-    colour = DESIRE
-    while v != g.t:
-        on_path.add(v)
-        path_word.append(g.label[v])
-        v = desire[v] if colour == DESIRE else reality[v]
-        colour = 1 - colour
-    on_path.add(g.t)
-
-    rest = set(g.vertices) - on_path
-    cycle_words = []
-    while rest:
-        start = next(iter(rest))
-        cycle = [start]
-        v, colour = reality[start], DESIRE
-        while v != start:
-            cycle.append(v)
-            v = desire[v] if colour == DESIRE else reality[v]
-            colour = 1 - colour
-        rest.difference_update(cycle)
-        cycle_words.append(_canonical_cycle_word(g, cycle))
-    return CanonicalForm(path_word=tuple(path_word), cycle_words=tuple(sorted(cycle_words)))
+    label = g._index.label
+    path, *cycles = _decompose(g._index)
+    cycle_words = tuple(sorted(_canonical_cycle_word([label[v] for v in c]) for c in cycles))
+    return CanonicalForm(path_word=tuple(label[v] for v in path[1:-1]), cycle_words=cycle_words)
 
 
-def _canonical_cycle_word(g: ARG, cycle: list[str]) -> tuple[tuple[int, int], ...]:
-    # cycle lists vertices in traversal order; consecutive edges alternate
-    # reality, desire, reality, ... starting from cycle[0].
-    m = len(cycle)
-    labels = [g.label[v] for v in cycle]
+def _canonical_cycle_word(labels: list[int]) -> tuple[tuple[int, int], ...]:
+    # labels of a cycle's vertices in traversal order; consecutive edges
+    # alternate reality, desire, reality, ... starting from the first.
+    m = len(labels)
     words = []
     for start in range(m):
         # forward: step colours keep the alternation of the traversal
@@ -475,33 +543,8 @@ def are_isomorphic(g: ARG, h: ARG) -> bool:
 
 def st_path(e: ExtendedARG) -> tuple[str, ...]:
     """The unique alternating reality/merge path from s to t, as vertices."""
-    g = e.arg
-    reality: dict[str, str] = {}
-    merge: dict[str, str] = {}
-    for edge in g.reality:
-        a, b = tuple(edge)
-        reality[a], reality[b] = b, a
-    for edge in e.merge:
-        a, b = tuple(edge)
-        merge[a], merge[b] = b, a
-    path = [g.s]
-    v = reality[g.s]
-    use_merge = True
-    while v != g.t:
-        path.append(v)
-        v = merge[v] if use_merge else reality[v]
-        use_merge = not use_merge
-    path.append(g.t)
-    return tuple(path)
-
-
-def _path_positions(e: ExtendedARG) -> dict[str, tuple[int, int]]:
-    # vertex -> (pair index 1..n, side 0 for the first vertex of the pair)
-    path = st_path(e)
-    out = {}
-    for k, v in enumerate(path[1:-1]):
-        out[v] = (k // 2 + 1, k % 2)
-    return out
+    ids = e.arg._index.ids
+    return tuple(ids[v] for v in e._path)
 
 
 NEGATIVE = "negative"
@@ -515,14 +558,15 @@ def pointer_sign(e: ExtendedARG, p: int) -> str:
     their two merge pairs (the parallel configuration along the path),
     positive when they connect equal sides (the crossing one).
     """
-    pos = _path_positions(e)
-    signs = set()
-    for edge in desire_partition(e.arg, p):
-        a, b = tuple(edge)
-        signs.add(pos[a][1] != pos[b][1])
-    if len(signs) != 1:
+    quads = e.arg._index.quads
+    if p not in quads:
+        raise ValueError(f"symbol {p} not in the domain of the graph")
+    # ends an odd distance apart along the path lie on opposite sides
+    pos = e._pos
+    a, b, c, d = quads[p]
+    if (pos[a] - pos[b]) % 2 != (pos[c] - pos[d]) % 2:
         raise ValueError(f"desire edges of {p} are inconsistent with the path")
-    return NEGATIVE if signs.pop() else POSITIVE
+    return NEGATIVE if (pos[a] - pos[b]) % 2 else POSITIVE
 
 
 def legalization_representative(e: ExtendedARG) -> LegalString:
@@ -532,17 +576,12 @@ def legalization_representative(e: ExtendedARG) -> LegalString:
     second occurrence of a symbol is barred exactly when the symbol is
     positive in the graph, so first occurrences are unbarred.
     """
-    g = e.arg
-    path = st_path(e)
-    word = [g.label[path[k]] for k in range(1, len(path) - 1, 2)]
+    label = e.arg._index.label
     seen: set[int] = set()
     letters = []
-    for p in word:
-        if p in seen:
-            letters.append(Pointer(p, pointer_sign(e, p) == POSITIVE))
-        else:
-            seen.add(p)
-            letters.append(Pointer(p, False))
+    for p in (label[v] for v in e._path[1:-1:2]):
+        letters.append(Pointer(p, p in seen and pointer_sign(e, p) == POSITIVE))
+        seen.add(p)
     return LegalString(tuple(letters))
 
 
@@ -554,12 +593,10 @@ def extended_canonical_form(e: ExtendedARG):
     edges written as position pairs determine the graph up to
     isomorphism.
     """
-    g = e.arg
-    path = st_path(e)
-    index = {v: k for k, v in enumerate(path)}
-    word = tuple(g.label[path[k]] for k in range(1, len(path) - 1, 2))
-    desire = tuple(sorted(tuple(sorted(index[v] for v in edge)) for edge in g.desire))
-    return word, desire
+    idx, pos = e.arg._index, e._pos
+    word = tuple(idx.label[v] for v in e._path[1:-1:2])
+    desire = sorted(tuple(sorted((pos[v], pos[w]))) for v, w in enumerate(idx.desire) if v < w)
+    return word, tuple(desire)
 
 
 def are_isomorphic_extended(e1: ExtendedARG, e2: ExtendedARG) -> bool:

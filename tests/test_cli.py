@@ -2,13 +2,21 @@
 error JSON convention on stderr."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from redukt import arg_to_json, build_reduction_graph, parse_legal_string
+from redukt import (
+    arg_to_json,
+    build_reduction_graph,
+    parse_legal_string,
+    pc_to_json,
+    pointer_component_graph,
+)
 from redukt.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,6 +130,14 @@ class TestPc:
         code, out, _ = run(capsys, "pc", U_TEXT, "--format", "dot")
         assert code == 0
         assert out.startswith("graph")
+
+    def test_string_longer_than_a_file_name(self, capsys):
+        # over 255 bytes: probing it as a path raises ENAMETOOLONG
+        text = " ".join([str(p) for p in range(2, 258)] * 2)
+        code, out, err = run(capsys, "pc", text)
+        assert code == 0 and not err
+        m = pointer_component_graph(build_reduction_graph(parse_legal_string(text)))
+        assert {k: v for k, v in json.loads(out).items() if k != "bridges"} == pc_to_json(m)
 
     def test_bad_source(self, capsys):
         code, _, err = run(capsys, "pc", "no such source")
@@ -307,11 +323,17 @@ class TestUsage:
 
 
 def test_console_script():
+    # without an installed `redukt` script, run the same entry point from src
     exe = shutil.which("redukt")
+    env = None
+    cmd = [exe]
     if exe is None:
-        pytest.skip("console script not on PATH")
+        src = str(Path(__file__).parents[1] / "src")
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        cmd = [sys.executable, "-m", "redukt.cli"]
     proc = subprocess.run(
-        [exe, "fiber-check", "2 -2", "-2 2"], capture_output=True, text=True
+        [*cmd, "fiber-check", "2 -2", "-2 2"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"dual_equivalent": True}

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from redukt import (
     ARG,
     InvalidGraphError,
+    LegalString,
     OutOfRangeError,
+    Pointer,
     arg_to_json,
     are_isomorphic,
     bridge_set,
@@ -46,6 +49,7 @@ from oracles import (
     oracle_multigraph_isomorphic,
     random_arg,
     random_connected_multigraph,
+    relabeled,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -238,6 +242,30 @@ class TestFindTheta:
         assert e is not None
         assert is_theta(g, e)
 
+    @given(legal_strings, st.randoms(use_true_random=False))
+    def test_any_spanning_tree_gives_theta(self, u, rng):
+        # the direction of find_theta's argument that holds: flipping the
+        # symbols of any spanning tree of the pointer-component graph of
+        # reality plus a merge-legal set connects the graph
+        g = relabeled(build_reduction_graph(u), rng)
+        e = some_merge_legal(g)
+        m = pc_with(g, e)
+        root = {n: n for n in m.nodes}
+
+        def find(n):
+            while root[n] != n:
+                n = root[n]
+            return n
+
+        tree = set()
+        for p in rng.sample(sorted(m.endpoints), len(m.endpoints)):
+            ends = [find(n) for n in m.endpoints[p]]
+            if len(ends) == 2 and ends[0] != ends[1]:
+                root[ends[0]] = ends[1]
+                tree.add(p)
+        assert len(tree) == len(m.nodes) - 1
+        assert is_theta(g, flip_set(g, e, tree))
+
     def test_agrees_with_exhaustive_search(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -317,6 +345,25 @@ class TestRecover:
     def test_accepts_raw_json(self):
         w = recover_legal_string(arg_to_json(build_reduction_graph(U)))
         assert are_isomorphic(build_reduction_graph(w), build_reduction_graph(U))
+
+    def test_large_round_trip_with_shuffled_ids(self):
+        rng = random.Random(28)
+        symbols = [p for p in range(2, 802) for _ in range(2)]
+        rng.shuffle(symbols)
+        u = LegalString(tuple(Pointer(p, rng.random() < 0.5) for p in symbols))
+        g = build_reduction_graph(u)
+        # shuffled ids keep some_merge_legal from picking the string's own merge edges
+        names = sorted(g.label)
+        rename = dict(zip(names, rng.sample([f"v{i}" for i in range(len(names))], len(names))))
+        rename.update(s="s", t="t")
+        data = arg_to_json(g)
+        data = {
+            "vertices": [{**v, "id": rename[v["id"]]} for v in data["vertices"]],
+            "reality": [[rename[a], rename[b]] for a, b in data["reality"]],
+            "desire": [[rename[a], rename[b]] for a, b in data["desire"]],
+        }
+        w = recover_legal_string(validate_arg(data))
+        assert are_isomorphic(build_reduction_graph(w), g)
 
     @given(legal_strings)
     def test_round_trip_up_to_isomorphism(self, u):

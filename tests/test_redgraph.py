@@ -3,11 +3,15 @@ extension, signs, and legalization."""
 
 import json
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from redukt import (
     ARG,
@@ -31,9 +35,12 @@ from redukt import (
     extended_from_json,
     extended_to_json,
     format_legal_string,
+    is_reduction_graph,
     legalization_representative,
     parse_legal_string,
+    pointer_component_graph,
     pointer_sign,
+    recover_legal_string,
     st_path,
     validate_arg,
 )
@@ -157,6 +164,54 @@ class TestValidate:
         data["desire"] = [["2a", "3a"], ["2b", "2c"], ["2d", "3b"], ["3c", "3d"]]
         msgs = arg_diagnostics(data)
         assert any("joins labels 2 and 3" in m for m in msgs)
+
+    def test_malformed_direct_arg_raises_rather_than_hangs(self):
+        # a and b each lie in two reality edges; queries on such an ARG
+        # once walked forever, so they run in a child with a timeout
+        script = textwrap.dedent(
+            """
+            from redukt import ARG, ColouredBase, InvalidGraphError, canonical_form
+            from redukt import is_reduction_graph, recover_legal_string
+
+            base = ColouredBase(frozenset("sabcdt"), "s", "t", dict.fromkeys("abcd", 2))
+            reality = frozenset(map(frozenset, ["sa", "ab", "bt", "cd"]))
+            g = ARG(base, reality, frozenset(map(frozenset, ["ac", "bd"])))
+            assert not is_reduction_graph(g)
+            for query in (canonical_form, recover_legal_string):
+                try:
+                    query(g)
+                except InvalidGraphError as exc:
+                    assert "vertex 'a' lies in 2 reality edges, expected exactly 1" in (
+                        exc.diagnostics
+                    )
+                else:
+                    raise AssertionError(query.__name__ + " accepted the graph")
+            """
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @given(legal_strings, st.randoms(use_true_random=False))
+    def test_rewired_edge_is_rejected_by_every_query(self, u, rng):
+        assume(len(u) > 0)
+        g = build_reduction_graph(u)
+        key = rng.choice(["reality", "desire"])
+        edges = set(getattr(g, key))
+        a, b = old = rng.choice(sorted(map(sorted, edges)))
+        edges.remove(frozenset(old))
+        c = rng.choice(sorted(set(g.label) - {a, b}))
+        edges.add(frozenset({a, c}))
+        bad = ARG(base=g.base, **{"reality": g.reality, "desire": g.desire, key: frozenset(edges)})
+        assert not is_reduction_graph(bad)
+        for query in (canonical_form, components, pointer_component_graph, recover_legal_string):
+            with pytest.raises(InvalidGraphError):
+                query(bad)
 
     def test_desire_on_endpoint_violation(self):
         data = load("theta_empty")
@@ -326,6 +381,11 @@ class TestExtended:
         bad = frozenset({edge("2a", "3a"), edge("2b", "2d"), edge("2c", "3c"), edge("3b", "3d")})
         with pytest.raises(ValueError, match="equal labels"):
             ExtendedARG(arg=g, merge=bad)
+
+    def test_extended_canonical_form_value(self):
+        # path labels, then each desire edge as its two positions on the s-t path
+        e = build_extended_reduction_graph(parse_legal_string("2 2"))
+        assert extended_canonical_form(e) == ((2, 2), ((1, 4), (2, 3)))
 
     def test_extended_json_round_trip(self):
         e = extended_from_json(load("crossed_merge"))
