@@ -199,16 +199,18 @@ def _cmd_fiber_check(args) -> int:
     return 0 if verdict else 2
 
 
+def _orbit_budget(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"orbit budget must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _max_orbit(args) -> int:
     env = os.environ.get("REDUKT_MAX_ORBIT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidGraphError([f"bad REDUKT_MAX_ORBIT value {env!r}"]) from None
-    if args.max is not None:
-        return args.max
-    return DEFAULT_MAX_ORBIT
+    try:
+        return args.max if env is None else _orbit_budget(env)
+    except argparse.ArgumentTypeError:
+        raise InvalidGraphError([f"bad REDUKT_MAX_ORBIT value {env!r}"]) from None
 
 
 def _cmd_orbit(args) -> int:
@@ -262,7 +264,7 @@ def _build_parser() -> _Parser:
     p.add_argument("v")
     p = add("orbit", _cmd_orbit, ("json", "text"))
     p.add_argument("string")
-    p.add_argument("--max", type=int, default=None, help="orbit size budget")
+    p.add_argument("--max", type=_orbit_budget, default=DEFAULT_MAX_ORBIT, help="orbit size budget")
     p = add("realize-pc", _cmd_realize_pc, ("json", "text"))
     p.add_argument("multigraph")
     p.add_argument("--linear", default=None, help="node hosting the s-t path")

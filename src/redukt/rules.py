@@ -35,19 +35,19 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce as _fold
+from functools import cache, reduce as _fold
 from itertools import combinations
 from typing import Iterable
 
 from .redgraph import build_reduction_graph, canonical_form
 from .strings import (
     LegalString,
+    _occurrences,
     canonical_equiv_rep,
-    domain,
     inverse,
     is_positive,
     overlap,
-    p_interval,
+    positive_symbols,
 )
 
 
@@ -59,55 +59,45 @@ class OrbitLimitError(RuntimeError):
     """Orbit enumeration hit its size budget before closing."""
 
 
-_STRING_KINDS = {"snr": 1, "spr": 1, "sdr": 2}
-_DUAL_KINDS = {"dspr": 1, "dsdr": 2}
+@dataclass(frozen=True)
+class _Rule:
+    """A rule instance: its kind and the distinct symbols it names."""
 
+    kind: str
+    pointers: tuple[int, ...]
+    _KINDS = {}  # kind -> number of symbols, set by each subclass
 
-def _check_rule(kind: str, pointers: tuple[int, ...], kinds: dict[str, int]) -> None:
-    if kind not in kinds:
-        raise ValueError(f"unknown rule kind {kind!r}")
-    if len(pointers) != kinds[kind]:
-        raise ValueError(f"{kind} takes {kinds[kind]} pointer(s), got {pointers!r}")
-    if len(set(pointers)) != len(pointers):
-        raise ValueError(f"{kind} needs distinct pointers")
-    if any(not isinstance(p, int) or isinstance(p, bool) or p < 2 for p in pointers):
-        raise ValueError(f"bad pointers {pointers!r}")
+    def __post_init__(self) -> None:
+        kind, pointers, size = self.kind, self.pointers, self._KINDS.get(self.kind)
+        if size is None:
+            raise ValueError(f"unknown rule kind {kind!r}")
+        if len(pointers) != size:
+            raise ValueError(f"{kind} takes {size} pointer(s), got {pointers!r}")
+        if len(set(pointers)) != len(pointers):
+            raise ValueError(f"{kind} needs distinct pointers")
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 2 for p in pointers):
+            raise ValueError(f"bad pointers {pointers!r}")
+
+    @property
+    def dom(self) -> frozenset[int]:
+        return frozenset(self.pointers)
+
+    def __str__(self) -> str:
+        return f"{self.kind}({','.join(str(p) for p in self.pointers)})"
 
 
 @dataclass(frozen=True)
-class StringRule:
+class StringRule(_Rule):
     """A reducing rule instance: snr(p), spr(p) or sdr(p,q)."""
 
-    kind: str
-    pointers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_rule(self.kind, self.pointers, _STRING_KINDS)
-
-    @property
-    def dom(self) -> frozenset[int]:
-        return frozenset(self.pointers)
-
-    def __str__(self) -> str:
-        return f"{self.kind}({','.join(str(p) for p in self.pointers)})"
+    _KINDS = {"snr": 1, "spr": 1, "sdr": 2}
 
 
 @dataclass(frozen=True)
-class DualRule:
+class DualRule(_Rule):
     """A non-deleting rule instance: dspr(p) or dsdr(p,q)."""
 
-    kind: str
-    pointers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_rule(self.kind, self.pointers, _DUAL_KINDS)
-
-    @property
-    def dom(self) -> frozenset[int]:
-        return frozenset(self.pointers)
-
-    def __str__(self) -> str:
-        return f"{self.kind}({','.join(str(p) for p in self.pointers)})"
+    _KINDS = {"dspr": 1, "dsdr": 2}
 
 
 @dataclass(frozen=True)
@@ -145,7 +135,7 @@ def parse_rule(text: str) -> StringRule | DualRule:
         raise ValueError(f"bad rule text {text!r}")
     kind = m.group(1)
     pointers = tuple(int(g) for g in m.groups()[1:] if g is not None)
-    cls = StringRule if kind in _STRING_KINDS else DualRule
+    cls = StringRule if kind in StringRule._KINDS else DualRule
     return cls(kind=kind, pointers=pointers)
 
 
@@ -159,14 +149,9 @@ def parse_rule_sequence(text: str) -> RuleSequence:
 
 def _positions(u: LegalString, p: int) -> tuple[int, int]:
     try:
-        i, j = p_interval(u, p)
+        return _occurrences(u, p)
     except ValueError as exc:
         raise NotApplicableError(str(exc)) from exc
-    return i - 1, j - 1
-
-
-def _negative(u: LegalString, p: int) -> bool:
-    return not is_positive(u, p)
 
 
 def apply_snr(u: LegalString, p: int) -> LegalString:
@@ -189,8 +174,7 @@ def _double_positions(u: LegalString, p: int, q: int) -> tuple[int, int, int, in
     # i1 < j1 < i2 < j2 with p at i1,i2 and q at j1,j2
     if p == q:
         raise NotApplicableError("the two pointers must be distinct")
-    i1, i2 = _positions(u, p)
-    j1, j2 = _positions(u, q)
+    (i1, i2), (j1, j2) = _positions(u, p), _positions(u, q)
     if not overlap(u, p, q):
         raise NotApplicableError(f"{p} and {q} do not overlap")
     if i1 > j1:
@@ -201,7 +185,7 @@ def _double_positions(u: LegalString, p: int, q: int) -> tuple[int, int, int, in
 def apply_sdr(u: LegalString, p: int, q: int) -> LegalString:
     """Delete two overlapping negative pairs, exchanging two segments."""
     i1, j1, i2, j2 = _double_positions(u, p, q)
-    if not (_negative(u, p) and _negative(u, q)):
+    if is_positive(u, p) or is_positive(u, q):
         raise NotApplicableError(f"sdr({p},{q}): both pointers must be negative")
     x = u.letters
     return LegalString(x[:i1] + x[i2 + 1 : j2] + x[j1 + 1 : i2] + x[i1 + 1 : j1] + x[j2 + 1 :])
@@ -212,8 +196,7 @@ def apply_dspr(u: LegalString, p: int) -> LegalString:
     i, j = _positions(u, p)
     if u.letters[i].barred != u.letters[j].barred:
         raise NotApplicableError(f"dspr({p}): {p} is not negative")
-    x = u.letters
-    return LegalString(x[: i + 1] + inverse(x[i + 1 : j]) + x[j:])
+    return LegalString(u.letters[: i + 1] + inverse(u.letters[i + 1 : j]) + u.letters[j:])
 
 
 def apply_dsdr(u: LegalString, p: int, q: int) -> LegalString:
@@ -222,27 +205,14 @@ def apply_dsdr(u: LegalString, p: int, q: int) -> LegalString:
     if not (is_positive(u, p) and is_positive(u, q)):
         raise NotApplicableError(f"dsdr({p},{q}): both pointers must be positive")
     x = u.letters
-    return LegalString(
-        x[: i1 + 1]
-        + x[i2 + 1 : j2]
-        + (x[j1],)
-        + x[j1 + 1 : i2]
-        + (x[i2],)
-        + x[i1 + 1 : j1]
-        + (x[j2],)
-        + x[j2 + 1 :]
-    )
+    return LegalString(x[: i1 + 1] + x[i2 + 1 : j2] + x[j1 : i2 + 1] + x[i1 + 1 : j1] + x[j2:])
+
+
+_APPLY = dict(snr=apply_snr, spr=apply_spr, sdr=apply_sdr, dspr=apply_dspr, dsdr=apply_dsdr)
 
 
 def apply_rule(u: LegalString, rule: StringRule | DualRule) -> LegalString:
-    ops = {
-        "snr": apply_snr,
-        "spr": apply_spr,
-        "sdr": apply_sdr,
-        "dspr": apply_dspr,
-        "dsdr": apply_dsdr,
-    }
-    return ops[rule.kind](u, *rule.pointers)
+    return _APPLY[rule.kind](u, *rule.pointers)
 
 
 def apply_sequence(u: LegalString, rules: Iterable[StringRule | DualRule]) -> LegalString:
@@ -252,34 +222,55 @@ def apply_sequence(u: LegalString, rules: Iterable[StringRule | DualRule]) -> Le
 
 
 def _first_occurrence_order(u: LegalString, p: int, q: int) -> tuple[int, int]:
-    return (p, q) if p_interval(u, p)[0] < p_interval(u, q)[0] else (q, p)
+    return (p, q) if u._occ[p][0] < u._occ[q][0] else (q, p)
+
+
+def _crossing_openers(word: Iterable[int]) -> set[int]:
+    # the symbols p of a word with p q p q for some q: when p closes, the
+    # latest-opened symbol still open crosses p unless it is p itself
+    seen, closed, opened, out = set(), set(), [], set()
+    for p in word:
+        if p not in seen:
+            seen.add(p)
+            opened.append(p)
+            continue
+        while opened[-1] in closed:
+            opened.pop()
+        if opened[-1] != p:
+            out.add(p)
+        closed.add(p)
+    return out
 
 
 def _next_reduction_rule(u: LegalString) -> StringRule:
-    adjacent = sorted(
-        u.letters[i].symbol
-        for i in range(len(u) - 1)
-        if u.letters[i] == u.letters[i + 1]
-    )
+    x, occ = u.letters, u._occ
+    adjacent = [p for p, (i, j) in occ.items() if j == i + 1 and x[i].barred == x[j].barred]
     if adjacent:
-        return StringRule("snr", (adjacent[0],))
-    positive = sorted(p for p in domain(u) if is_positive(u, p))
+        return StringRule("snr", (min(adjacent),))
+    positive = positive_symbols(u)
     if positive:
-        return StringRule("spr", (positive[0],))
-    for p, q in combinations(sorted(domain(u)), 2):
-        if overlap(u, p, q):
-            return StringRule("sdr", _first_occurrence_order(u, p, q))
-    raise AssertionError(f"no rule applicable to nonempty legal string {u}")
+        return StringRule("spr", (min(positive),))
+    # all negative, so some pair overlaps (an innermost interval would be
+    # an snr pair); the least pair p < q: p is the least symbol
+    # overlapping any other, q the least symbol overlapping p
+    word = [y.symbol for y in x]
+    p = min(_crossing_openers(word) | _crossing_openers(reversed(word)))
+    i, j = occ[p]
+    q = min(s for s in word[i + 1 : j] if occ[s][0] < i or occ[s][1] > j)
+    return StringRule("sdr", _first_occurrence_order(u, p, q))
 
 
 def successful_reduction_search(u: LegalString) -> RuleSequence:
     """A rule sequence reducing u to the empty string.
 
-    Deterministic greedy: snr before spr before sdr, smallest symbols
-    first.  Every nonempty legal string admits some rule (an adjacent
-    equal pair, a positive symbol, or, failing both, an innermost
-    interval forces an overlapping negative pair), and every rule
-    shortens the string, so the search never backtracks.
+    Deterministic greedy: snr on the least symbol with an adjacent equal
+    pair, else spr on the least positive symbol, else sdr on the
+    lexicographically least overlapping pair p < q, named in
+    first-occurrence order.  Every nonempty legal string admits one (an
+    adjacent equal pair, a positive symbol, or, failing both, an innermost
+    interval forces an overlapping negative pair), and every rule shortens
+    the string, so the search never backtracks.  Through the occurrence
+    index a step costs O(n) on n letters, the search O(n^2).
     """
     out = []
     while len(u):
@@ -289,12 +280,16 @@ def successful_reduction_search(u: LegalString) -> RuleSequence:
     return RuleSequence(tuple(out))
 
 
+_dual_rule = cache(DualRule)  # rules are values: one instance per rule seen
+
+
 def applicable_dual_rules(u: LegalString) -> list[DualRule]:
     """Every dual rule instance matching u, deterministically ordered."""
-    out = [DualRule("dspr", (p,)) for p in sorted(domain(u)) if _negative(u, p)]
-    for p, q in combinations(sorted(domain(u)), 2):
-        if is_positive(u, p) and is_positive(u, q) and overlap(u, p, q):
-            out.append(DualRule("dsdr", _first_occurrence_order(u, p, q)))
+    positive = positive_symbols(u)
+    out = [_dual_rule("dspr", (p,)) for p in sorted(u._occ) if p not in positive]
+    for p, q in combinations(sorted(positive), 2):
+        if overlap(u, p, q):
+            out.append(_dual_rule("dsdr", _first_occurrence_order(u, p, q)))
     return out
 
 
@@ -304,8 +299,10 @@ def orbit(u: LegalString, max_size: int = 10000) -> frozenset[LegalString]:
     Breadth-first closure; every frontier string is canonicalized under
     equivalence before deduplication, since re-signing alone never ends
     the search otherwise.  Raises OrbitLimitError when the orbit would
-    exceed max_size members.
+    exceed max_size members, and ValueError when max_size < 1.
     """
+    if max_size < 1:
+        raise ValueError(f"orbit budget must be at least 1, got {max_size}")
     start = canonical_equiv_rep(u)
     seen = {start}
     queue = deque([start])

@@ -22,12 +22,14 @@ Everything in this module is immutable and all operations are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 
 class ParseError(ValueError):
-    """A token is not an optionally '-'-prefixed integer >= 2."""
+    """A token or letter is not a pointer: an optionally '-'-prefixed integer >= 2."""
 
 
 class LegalityError(ValueError):
@@ -46,25 +48,43 @@ class Pointer:
             raise ParseError(f"pointer symbol must be an integer >= 2, got {self.symbol!r}")
 
     def bar(self) -> "Pointer":
-        return Pointer(self.symbol, not self.barred)
+        return _pointer(self.symbol, not self.barred)
 
     def __str__(self) -> str:
         return f"-{self.symbol}" if self.barred else str(self.symbol)
 
 
+@cache  # one validated Pointer per (symbol, bar), bounded by the symbols seen
+def _pointer(symbol: int, barred: bool) -> Pointer:
+    return Pointer(symbol, barred)
+
+
 @dataclass(frozen=True)
 class LegalString:
-    """An immutable sequence of pointers with every symbol occurring twice."""
+    """An immutable sequence of pointers with every symbol occurring twice.
+
+    The legality check builds the occurrence index _occ, symbol -> 0-based
+    positions (i, j), i < j, outside the fields: ==, hash, repr ignore it.
+    """
 
     letters: tuple[Pointer, ...]
 
     def __post_init__(self) -> None:
-        counts: dict[int, int] = {}
-        for x in self.letters:
-            counts[x.symbol] = counts.get(x.symbol, 0) + 1
-        bad = sorted(p for p, c in counts.items() if c != 2)
-        if bad:
+        letters = tuple(self.letters)
+        first: dict[int, int] = {}
+        occ: dict[int, tuple[int, int]] = {}
+        for j, x in enumerate(letters):
+            if not isinstance(x, Pointer):
+                raise ParseError(f"letter {j} is not a Pointer: {x!r}")
+            i = first.setdefault(x.symbol, j)
+            if i != j:
+                occ[x.symbol] = (i, j)
+        # legal iff every symbol seen has a second occurrence and none a third
+        if len(occ) != len(first) or 2 * len(occ) != len(letters):
+            bad = sorted(p for p, c in Counter(x.symbol for x in letters).items() if c != 2)
             raise LegalityError(f"symbols not occurring exactly twice: {bad}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_occ", occ)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -108,15 +128,15 @@ def format_legal_string(u: LegalString) -> str:
 
 def domain(u: LegalString) -> frozenset[int]:
     """The set of unbarred symbols occurring in u."""
-    return frozenset(x.symbol for x in u.letters)
+    return frozenset(u._occ)
 
 
 def _occurrences(u: LegalString, p: int) -> tuple[int, int]:
     # 0-based indices of the two occurrences of symbol p
-    hits = [i for i, x in enumerate(u.letters) if x.symbol == p]
-    if len(hits) != 2:
-        raise ValueError(f"symbol {p} not in domain")
-    return hits[0], hits[1]
+    try:
+        return u._occ[p]
+    except (KeyError, TypeError):
+        raise ValueError(f"symbol {p} not in domain") from None
 
 
 def is_positive(u: LegalString, p: int) -> bool:
@@ -147,20 +167,19 @@ def inverse(u):
     applications invert mid-string segments; a LegalString comes back as
     a LegalString, a plain sequence as a tuple.
     """
-    if isinstance(u, LegalString):
-        return LegalString(tuple(x.bar() for x in reversed(u.letters)))
-    return tuple(x.bar() for x in reversed(tuple(u)))
+    out = tuple(x.bar() for x in reversed(tuple(u)))
+    return LegalString(out) if isinstance(u, LegalString) else out
 
 
 def positive_symbols(u: LegalString) -> frozenset[int]:
-    return frozenset(p for p in domain(u) if is_positive(u, p))
+    x = u.letters
+    return frozenset(p for p, (i, j) in u._occ.items() if x[i].barred != x[j].barred)
 
 
 def equivalent(u: LegalString, v: LegalString) -> bool:
     """True iff u and v agree in unbarred projection and positive symbols."""
-    if tuple(x.symbol for x in u.letters) != tuple(x.symbol for x in v.letters):
-        return False
-    return positive_symbols(u) == positive_symbols(v)
+    same_projection = [x.symbol for x in u.letters] == [x.symbol for x in v.letters]
+    return same_projection and positive_symbols(u) == positive_symbols(v)
 
 
 def canonical_equiv_rep(u: LegalString) -> LegalString:
@@ -168,13 +187,14 @@ def canonical_equiv_rep(u: LegalString) -> LegalString:
 
     The second occurrence of a symbol is barred exactly when the symbol
     is positive, so equivalent strings map to the same representative.
+    It re-signs exactly the symbols whose first occurrence is barred:
+    one pass over the occurrence index, and u itself when there are none.
     """
-    seen: set[int] = set()
-    out = []
-    for x in u.letters:
-        if x.symbol not in seen:
-            seen.add(x.symbol)
-            out.append(Pointer(x.symbol, False))
-        else:
-            out.append(Pointer(x.symbol, is_positive(u, x.symbol)))
+    x = u.letters
+    resign = [(i, j) for i, j in u._occ.values() if x[i].barred]
+    if not resign:
+        return u
+    out = list(x)
+    for i, j in resign:
+        out[i], out[j] = x[i].bar(), x[j].bar()
     return LegalString(tuple(out))

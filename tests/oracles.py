@@ -3,12 +3,14 @@
 Everything here recomputes results by brute force and avoids the
 production algorithms: isomorphism by backtracking bijection search,
 merge-legal sets by per-symbol matching enumeration, connectivity by a
-local breadth-first search.  Tests compare library output against these.
+local breadth-first search, occurrences by a letter scan, and the greedy
+reduction by enumerating every pair in the documented order.  Tests
+compare library output against these.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -16,15 +18,62 @@ from redukt import ARG, ColouredBase, LegalString, Pointer
 from redukt.pcgraph import PointerComponentGraph
 
 
-def legal_string_strategy(max_symbols: int = 6):
+def legal_string_strategy(max_symbols: int = 6, bars: bool = True):
     @st.composite
     def build(draw):
         k = draw(st.integers(0, max_symbols))
         perm = draw(st.permutations([p for p in range(2, 2 + k) for _ in range(2)]))
         flags = draw(st.lists(st.booleans(), min_size=2 * k, max_size=2 * k))
-        return LegalString(tuple(Pointer(p, b) for p, b in zip(perm, flags)))
+        return LegalString(tuple(Pointer(p, b and bars) for p, b in zip(perm, flags)))
 
     return build()
+
+
+def oracle_occurrences(u: LegalString) -> dict[int, list[int]]:
+    """The 0-based positions of every symbol, by scanning every letter."""
+    out: dict[int, list[int]] = {}
+    for i, x in enumerate(u.letters):
+        out.setdefault(x.symbol, []).append(i)
+    return out
+
+
+def _interleave(a, b) -> bool:
+    return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
+
+
+def oracle_reduction(u: LegalString) -> list[str]:
+    """The greedy reduction sequence, by enumeration in the documented
+    order: snr on the least symbol whose letters are adjacent and equal,
+    else spr on the least positive symbol, else sdr on the first
+    overlapping pair of all pairs p < q, named in first-occurrence
+    order.  Rules are applied to (symbol, barred) pairs."""
+    w = [(x.symbol, x.barred) for x in u.letters]
+    out = []
+    while w:
+        pos: dict[int, list[int]] = {}
+        for i, (p, _) in enumerate(w):
+            pos.setdefault(p, []).append(i)
+        adjacent = sorted(w[i][0] for i in range(len(w) - 1) if w[i] == w[i + 1])
+        positive = sorted(p for p, (i, j) in pos.items() if w[i][1] != w[j][1])
+        if adjacent:
+            p = adjacent[0]
+            i, j = pos[p]
+            w = w[:i] + w[j + 1 :]
+            out.append(f"snr({p})")
+        elif positive:
+            p = positive[0]
+            i, j = pos[p]
+            w = w[:i] + [(s, not b) for s, b in reversed(w[i + 1 : j])] + w[j + 1 :]
+            out.append(f"spr({p})")
+        else:
+            pairs = [(p, q) for p, q in combinations(sorted(pos), 2) if _interleave(pos[p], pos[q])]
+            p, q = pairs[0]
+            if pos[q][0] < pos[p][0]:
+                p, q = q, p
+            (i1, i2), (j1, j2) = pos[p], pos[q]
+            w = w[:i1] + w[i2 + 1 : j2] + w[j1 + 1 : i2] + w[i1 + 1 : j1] + w[j2 + 1 :]
+            out.append(f"sdr({p},{q})")
+    return out
 
 
 def _partner_maps(g: ARG):

@@ -255,6 +255,26 @@ class TestOrbit:
         assert code == 1
         assert error_payload(err)["error"] == "invalid-graph"
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "lots"])
+    def test_budget_flag_below_one(self, capsys, budget):
+        code, out, err = run(capsys, "orbit", "2 2", "--max", budget)
+        assert code == 1
+        assert out == ""
+        assert error_payload(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_env_value_below_one(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("REDUKT_MAX_ORBIT", budget)
+        code, _, err = run(capsys, "orbit", "2 3 2 3", "--max", "100")
+        assert code == 1
+        assert error_payload(err)["error"] == "invalid-graph"
+
+    def test_budget_of_one(self, capsys, monkeypatch):
+        monkeypatch.delenv("REDUKT_MAX_ORBIT", raising=False)
+        code, out, _ = run(capsys, "orbit", "2 2", "--max", "1")
+        assert code == 0
+        assert json.loads(out)["size"] == 1
+
 
 class TestRealizePc:
     def test_loop(self, capsys, graph_file):

@@ -35,6 +35,7 @@ from redukt import (
     format_rule_sequence,
     is_positive,
     is_theta,
+    legalization_representative,
     orbit,
     overlap,
     p_interval,
@@ -44,7 +45,14 @@ from redukt import (
     successful_reduction_search,
 )
 
-from oracles import all_strings, legal_string_strategy, random_legal_string
+from oracles import (
+    all_strings,
+    enumerate_merge_legal,
+    legal_string_strategy,
+    oracle_connected,
+    oracle_reduction,
+    random_legal_string,
+)
 
 P = parse_legal_string
 F = format_legal_string
@@ -273,6 +281,31 @@ class TestReduction:
         assert seq.is_reduced
         assert all(r.kind in ("snr", "spr", "sdr") for r in seq)
 
+    @given(legal_string_strategy(max_symbols=12))
+    def test_agrees_with_greedy_oracle(self, u):
+        assert [str(r) for r in successful_reduction_search(u)] == oracle_reduction(u)
+
+    @given(legal_string_strategy(max_symbols=12, bars=False))
+    def test_agrees_with_greedy_oracle_without_bars(self, u):
+        assert [str(r) for r in successful_reduction_search(u)] == oracle_reduction(u)
+
+    def test_least_overlapping_pair_is_chosen(self):
+        # all negative, no adjacent pair: 2 is the least symbol overlapping
+        # another, its least partner is 3, and 3 occurs first
+        u = P("4 5 3 2 6 4 5 3 6 2")
+        assert str(successful_reduction_search(u)).startswith("sdr(3,2)")
+
+    @pytest.mark.parametrize("bars", [True, False])
+    def test_long_string(self, bars):
+        rng = random.Random(800)
+        letters = [p for p in range(2, 802) for _ in range(2)]
+        rng.shuffle(letters)
+        u = P(" ".join(("-" if bars and rng.random() < 0.5 else "") + str(p) for p in letters))
+        seq = successful_reduction_search(u)
+        assert seq.is_reduced
+        assert seq.dom == domain(u)
+        assert apply_sequence(u, seq) == P("")
+
 
 def greedy_realization(u, d, biggest=False):
     """A dual rule sequence with odd domain d, clearing one negative or
@@ -354,6 +387,24 @@ class TestOrbit:
         with pytest.raises(OrbitLimitError):
             orbit(P("2 3 2 3"), max_size=2)
         assert len(orbit(P("2 3 2 3"), max_size=3)) == 3
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            orbit(P("2 2"), max_size=budget)
+        assert len(orbit(P("2 2"), max_size=1)) == 1
+
+    @given(legal_string_strategy(max_symbols=5))
+    def test_fiber_from_the_graph_side(self, u):
+        # every theta set of u's graph legalizes to one orbit member, and
+        # every member arises so: the fiber theorem read from the graph
+        g = build_reduction_graph(u)
+        readings = {
+            canonical_equiv_rep(legalization_representative(ExtendedARG(g, e)))
+            for e in enumerate_merge_legal(g)
+            if oracle_connected(g.vertices, g.reality | e)
+        }
+        assert readings == orbit(u)
 
     @given(legal_strings)
     def test_closure_and_membership(self, u):

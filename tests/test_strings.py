@@ -22,7 +22,7 @@ from redukt import (
     positive_symbols,
 )
 
-from oracles import all_strings, canonical_strings, legal_string_strategy
+from oracles import all_strings, canonical_strings, legal_string_strategy, oracle_occurrences
 
 U_TEXT = "2 -7 4 7 3 5 3 -4 2 6 5 6"
 
@@ -71,6 +71,48 @@ class TestParse:
     @given(legal_strings)
     def test_round_trip(self, u):
         assert parse_legal_string(format_legal_string(u)) == u
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "letters", [(2, 2), ("2", "2"), (Pointer(2), 2), [Pointer(3), (3, False)]]
+    )
+    def test_letters_must_be_pointers(self, letters):
+        with pytest.raises(ParseError):
+            LegalString(letters)
+
+    def test_letters_are_stored_as_a_tuple(self):
+        letters = [Pointer(2), Pointer(2)]
+        u = LegalString(letters)
+        assert u.letters == (Pointer(2), Pointer(2))
+        assert hash(u) == hash(parse_legal_string("2 2"))
+        letters.append(Pointer(3))  # the caller's list is not shared
+        assert len(u) == 2 and p_interval(u, 2) == (1, 2)
+        assert u == parse_legal_string("2 2")
+
+    def test_index_is_not_a_field(self):
+        u = parse_legal_string("2 3 -2 3")
+        assert repr(u) == repr(LegalString(tuple(u.letters)))
+        assert "_occ" not in repr(u)
+
+
+class TestOccurrenceIndex:
+    @given(legal_string_strategy(max_symbols=12))
+    def test_queries_agree_with_a_letter_scan(self, u):
+        occ = oracle_occurrences(u)
+        assert domain(u) == frozenset(occ)
+        sign = {p: u.letters[i].barred != u.letters[j].barred for p, (i, j) in occ.items()}
+        for p, (i, j) in occ.items():
+            assert p_interval(u, p) == (i + 1, j + 1)
+            assert is_positive(u, p) == sign[p]
+            for q, (k, m) in occ.items():
+                if q != p:
+                    assert overlap(u, p, q) == (i < k < j < m or k < i < m < j)
+        assert positive_symbols(u) == frozenset(p for p in occ if sign[p])
+        rep = [(x.symbol, x.barred) for x in canonical_equiv_rep(u).letters]
+        assert rep == [
+            (x.symbol, i == occ[x.symbol][1] and sign[x.symbol]) for i, x in enumerate(u.letters)
+        ]
 
 
 class TestDomainPositivity:
