@@ -32,8 +32,6 @@ from .redgraph import (
     ARG,
     ExtendedARG,
     InvalidGraphError,
-    _edges_to_json,
-    _id_key,
     arg_to_json,
     build_extended_reduction_graph,
     build_reduction_graph,
@@ -87,42 +85,38 @@ def _load_json_file(path: str):
         raise InvalidGraphError([f"bad JSON in {path}: {exc}"]) from exc
 
 
-def _arg_to_dot(g: ARG, merge=None) -> str:
+# DOT and text are formatters of the JSON document, so all three
+# formats list vertices and edges in one order
+_DOT_STYLES = {"reality": " [style=bold]", "desire": "", "merge": " [style=dashed]"}
+
+
+def _graph_to_dot(data: dict) -> str:
     lines = ["graph reduction {"]
-    for v in sorted(g.vertices, key=_id_key):
-        caption = g.label[v] if v in g.label else v
-        lines.append(f'  "{v}" [label="{caption}"];')
-    for a, b in _edges_to_json(g.reality):
-        lines.append(f'  "{a}" -- "{b}" [style=bold];')
-    for a, b in _edges_to_json(g.desire):
-        lines.append(f'  "{a}" -- "{b}";')
-    if merge is not None:
-        for a, b in _edges_to_json(merge):
-            lines.append(f'  "{a}" -- "{b}" [style=dashed];')
+    for v in data["vertices"]:
+        lines.append(f'  "{v["id"]}" [label="{v.get("label", v["id"])}"];')
+    for key, style in _DOT_STYLES.items():
+        lines += [f'  "{a}" -- "{b}"{style};' for a, b in data.get(key, ())]
     lines.append("}")
     return "\n".join(lines)
 
 
-def _arg_to_text(g: ARG, merge=None) -> str:
-    lines = []
-    vs = []
-    for v in sorted(g.vertices, key=_id_key):
-        vs.append(f"{v}[{g.label[v]}]" if v in g.label else v)
-    lines.append("vertices: " + " ".join(vs))
-    for name, edges in (("reality", g.reality), ("desire", g.desire), ("merge", merge)):
-        if edges is None:
-            continue
-        lines.append(f"{name}: " + " ".join(f"{a}-{b}" for a, b in _edges_to_json(edges)))
+def _graph_to_text(data: dict) -> str:
+    vs = (f"{v['id']}[{v['label']}]" if "label" in v else v["id"] for v in data["vertices"])
+    lines = ["vertices: " + " ".join(vs)]
+    for key in ("reality", "desire", "merge"):
+        if key in data:
+            lines.append(f"{key}: " + " ".join(f"{a}-{b}" for a, b in data[key]))
     return "\n".join(lines)
 
 
-def _emit_graph(fmt: str, g: ARG, merge=None) -> None:
+def _emit_graph(fmt: str, g: ARG | ExtendedARG) -> None:
+    data = arg_to_json(g) if isinstance(g, ARG) else extended_to_json(g)
     if fmt == "json":
-        _print_json(arg_to_json(g) if merge is None else extended_to_json(ExtendedARG(g, merge)))
+        _print_json(data)
     elif fmt == "dot":
-        print(_arg_to_dot(g, merge))
+        print(_graph_to_dot(data))
     else:
-        print(_arg_to_text(g, merge))
+        print(_graph_to_text(data))
 
 
 def _emit_string(fmt: str, u) -> None:
@@ -140,8 +134,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    e = build_extended_reduction_graph(parse_legal_string(args.string))
-    _emit_graph(args.format, e.arg, e.merge)
+    _emit_graph(args.format, build_extended_reduction_graph(parse_legal_string(args.string)))
     return 0
 
 

@@ -30,8 +30,8 @@ from .redgraph import (
     Edge,
     ExtendedARG,
     InvalidGraphError,
+    _merge_partners,
     _pair,
-    _partners,
     _positional_base,
     _walk,
     desire_partition,
@@ -51,20 +51,12 @@ class OutOfRangeError(ValueError):
 
 def is_merge_legal(g: ARG, e: Iterable[Edge]) -> bool:
     """Desirable for g's base and disjoint from g's desire edges."""
-    edges = frozenset(frozenset(x) for x in e)
-    covered: set[str] = set()
-    for edge in edges:
-        if len(edge) != 2:
-            return False
-        a, b = tuple(edge)
-        if g.label.get(a) is None or g.label.get(a) != g.label.get(b):
-            return False
-        if edge in g.desire:
-            return False
-        if a in covered or b in covered:
-            return False
-        covered.update(edge)
-    return covered == set(g.vertices) - {g.s, g.t}
+    idx = g._index  # outside the try: a malformed g raises InvalidGraphError, a ValueError
+    try:
+        _merge_partners(idx, frozenset(frozenset(x) for x in e))
+    except ValueError:
+        return False
+    return True
 
 
 def some_merge_legal(g: ARG) -> frozenset:
@@ -85,11 +77,12 @@ def some_merge_legal(g: ARG) -> frozenset:
 
 def is_theta(g: ARG, e: Iterable[Edge]) -> bool:
     """Whether reality plus e connects the graph; e must be merge-legal."""
-    edges = frozenset(frozenset(x) for x in e)
-    if not is_merge_legal(g, edges):
-        raise ValueError("edge set is not merge-legal for the graph")
     idx = g._index
-    return len(_walk(idx.reality, _partners(idx.num, edges), idx.s)) == len(idx.ids)
+    try:
+        merge = _merge_partners(idx, frozenset(frozenset(x) for x in e))
+    except ValueError:
+        raise ValueError("edge set is not merge-legal for the graph") from None
+    return len(_walk(idx.reality, merge, idx.s)) == len(idx.ids)
 
 
 def _symbol_edges(g: ARG, edges: frozenset, p: int) -> tuple[frozenset, frozenset, frozenset]:

@@ -209,29 +209,38 @@ class ExtendedARG:
 
     def __post_init__(self) -> None:
         idx = self.arg._index
-        merge = [-1] * len(idx.ids)
-        overlap = False
-        for e in self.merge:
-            a, b = sorted(e)
-            x, y = idx.num.get(a), idx.num.get(b)
-            if x is None or y is None or not idx.label[x] or idx.label[x] != idx.label[y]:
-                raise ValueError(f"merge edge {sorted(e)} does not join equal labels")
-            if idx.desire[x] == y:
-                raise ValueError(f"merge edge {sorted(e)} is also a desire edge")
-            overlap = overlap or merge[x] >= 0 or merge[y] >= 0
-            merge[x], merge[y] = y, x
-        if any(p and m < 0 for p, m in zip(idx.label, merge)):
-            raise ValueError("merge edges must cover every labelled vertex exactly once")
-        if overlap:
-            raise ValueError("merge edges overlap")
+        merge = _merge_partners(idx, self.merge)
         path = _walk(idx.reality, merge, idx.s)
         if len(path) != len(merge):
             raise ValueError("reality and merge edges do not connect the graph")
-        # the s-t path and path positions, cached outside the dataclass fields
+        # the merge partners, s-t path and path positions, cached outside
+        # the dataclass fields
         pos = [0] * len(path)
         for k, v in enumerate(path):
             pos[v] = k
-        self.__dict__.update(_path=path, _pos=pos)
+        self.__dict__.update(_merge=merge, _path=path, _pos=pos)
+
+
+def _merge_partners(idx: _Index, edges: Iterable[Edge]) -> list[int]:
+    """Partner array of a merge-legal edge set: same-label pairs of
+    labelled vertices, no desire edge among them, covering every labelled
+    vertex exactly once.  Raises ValueError naming the first violation."""
+    merge = [-1] * len(idx.ids)
+    overlap = False
+    for e in edges:
+        x, y = (idx.num.get(v) for v in e)
+        if x is None or y is None or not idx.label[x] or idx.label[x] != idx.label[y]:
+            # key=str: an edge passed to is_merge_legal may hold non-string ends
+            raise ValueError(f"merge edge {sorted(e, key=str)} does not join equal labels")
+        if idx.desire[x] == y:
+            raise ValueError(f"merge edge {sorted(e)} is also a desire edge")
+        overlap = overlap or merge[x] >= 0 or merge[y] >= 0
+        merge[x], merge[y] = y, x
+    if any(p and m < 0 for p, m in zip(idx.label, merge)):
+        raise ValueError("merge edges must cover every labelled vertex exactly once")
+    if overlap:
+        raise ValueError("merge edges overlap")
+    return merge
 
 
 @dataclass(frozen=True, eq=True)
@@ -249,13 +258,12 @@ class CanonicalForm:
 
 
 def _id_key(v: str):
-    # natural sort: "I10'" sorts after "I2" and before "s"/"t"
+    # natural sort: "I10'" sorts after "I2" and before "s"/"t".  Ids equal
+    # up to leading zeros ("x1", "x01") are ordered by the raw id, in a last
+    # part (-1, v) that sorts before every other part, so "Ix" < "Ix2"; a
+    # key (parts, v) gives the same order but compares the parts twice
     parts = re.split(r"(\d+)", v)
-    return tuple((1, int(p)) if p.isdigit() else (0, p) for p in parts)
-
-
-def _edge_key(e: Edge):
-    return tuple(sorted(_id_key(v) for v in e))
+    return (*((1, int(p)) if p.isdigit() else (0, p) for p in parts), (-1, v))
 
 
 def _pair(a: str, b: str) -> Edge:
@@ -287,11 +295,8 @@ def build_reduction_graph(u: LegalString) -> ARG:
         edges += [_pair(right[i], left[i + 1]) for i in range(n - 1)]
         reality = frozenset(edges)
 
-    occ: dict[int, list[int]] = {}
-    for i, x in enumerate(u.letters):
-        occ.setdefault(x.symbol, []).append(i)
     desire = set()
-    for p, (i, j) in occ.items():
+    for i, j in u._occ.values():
         if u.letters[i].barred == u.letters[j].barred:
             desire.add(_pair(right[i], left[j]))
             desire.add(_pair(left[i], right[j]))
@@ -463,7 +468,7 @@ def extended_from_json(data) -> ExtendedARG:
             or len(raw) != 2
             or not all(isinstance(v, str) for v in raw)
             or raw[0] == raw[1]
-            or not set(raw) <= set(g.vertices)
+            or not set(raw) <= g.vertices
         ):
             raise InvalidGraphError([f"bad merge edge {raw!r}"])
         merge.append(_pair(*raw))
@@ -473,27 +478,24 @@ def extended_from_json(data) -> ExtendedARG:
         raise InvalidGraphError([str(exc)]) from exc
 
 
-def _edges_to_json(edges: Iterable[Edge]) -> list[list[str]]:
-    return sorted((sorted(e, key=_id_key) for e in edges), key=lambda e: _edge_key(frozenset(e)))
+def _matching(ids: list[str], partner: list[int]) -> list[list[str]]:
+    # vertices are numbered in natural id order and each lies on at most
+    # one edge, so listing every edge from its smaller end sorts the edges
+    return [[ids[v], ids[w]] for v, w in enumerate(partner) if v < w]
 
 
 def arg_to_json(g: ARG) -> dict:
-    vertices = []
-    for v in sorted(g.vertices, key=_id_key):
-        if v in g.label:
-            vertices.append({"id": v, "label": g.label[v]})
-        else:
-            vertices.append({"id": v})
+    idx = g._index
     return {
-        "vertices": vertices,
-        "reality": _edges_to_json(g.reality),
-        "desire": _edges_to_json(g.desire),
+        "vertices": [{"id": v, "label": p} if p else {"id": v} for v, p in zip(idx.ids, idx.label)],
+        "reality": _matching(idx.ids, idx.reality),
+        "desire": _matching(idx.ids, idx.desire),
     }
 
 
 def extended_to_json(e: ExtendedARG) -> dict:
     out = arg_to_json(e.arg)
-    out["merge"] = _edges_to_json(e.merge)
+    out["merge"] = _matching(e.arg._index.ids, e._merge)
     return out
 
 

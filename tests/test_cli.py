@@ -104,6 +104,17 @@ class TestExtend:
         assert "[style=dashed]" in out
 
 
+class TestGolden:
+    # exact stdout, pinned in tests/fixtures/golden; the string has 12
+    # positions, so I10 must follow I9' in every format
+    @pytest.mark.parametrize("fmt,ext", [("json", "json"), ("dot", "dot"), ("text", "txt")])
+    @pytest.mark.parametrize("command", ["build", "extend"])
+    def test_stdout(self, capsys, command, fmt, ext):
+        code, out, err = run(capsys, command, U_TEXT, "--format", fmt)
+        assert code == 0 and not err
+        assert out == (FIXTURES / "golden" / f"{command}.{ext}").read_text()
+
+
 class TestPc:
     def test_from_string(self, capsys):
         code, out, _ = run(capsys, "pc", U_TEXT)

@@ -2,6 +2,7 @@
 extension, signs, and legalization."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from redukt import (
     ColouredBase,
     ExtendedARG,
     InvalidGraphError,
+    LegalString,
+    Pointer,
     arg_diagnostics,
     arg_to_json,
     are_isomorphic,
@@ -35,6 +38,7 @@ from redukt import (
     extended_from_json,
     extended_to_json,
     format_legal_string,
+    is_merge_legal,
     is_reduction_graph,
     legalization_representative,
     parse_legal_string,
@@ -142,6 +146,41 @@ class TestValidate:
         data = arg_to_json(build_reduction_graph(U))
         assert validate_arg(data) == build_reduction_graph(U)
 
+    def test_rendering_of_ids_equal_up_to_leading_zeros_ignores_hash_seed(self):
+        # x1 and x01 tie on their digit runs; the raw id breaks the tie
+        script = textwrap.dedent(
+            """
+            import json
+            from redukt import arg_to_json, validate_arg
+
+            names = {2: ("x1", "x01", "x2", "x02"), 3: ("y1", "y01", "y2", "y02")}
+            data = {
+                "vertices": [{"id": "s"}, {"id": "t"}]
+                + [{"id": v, "label": p} for p, vs in names.items() for v in vs],
+                "reality": [["s", "x1"], ["x01", "y1"], ["y01", "x2"], ["x02", "y2"], ["y02", "t"]],
+                "desire": [["x1", "x2"], ["x01", "x02"], ["y1", "y02"], ["y01", "y2"]],
+            }
+            print(json.dumps(arg_to_json(validate_arg(data))))
+            """
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        outputs = set()
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+                capture_output=True,
+                text=True,
+                timeout=30,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        data = json.loads(outputs.pop())
+        ids = [v["id"] for v in data["vertices"]]
+        assert ids == ["s", "t", "x01", "x1", "x02", "x2", "y01", "y1", "y02", "y2"]
+        assert data["desire"] == [["x01", "x02"], ["x1", "x2"], ["y01", "y2"], ["y1", "y02"]]
+
     def test_label_quadruple_violation(self):
         data = {
             "vertices": [{"id": "a", "label": 2}, {"id": "b", "label": 2}, {"id": "s"}, {"id": "t"}],
@@ -209,7 +248,8 @@ class TestValidate:
         edges.add(frozenset({a, c}))
         bad = ARG(base=g.base, **{"reality": g.reality, "desire": g.desire, key: frozenset(edges)})
         assert not is_reduction_graph(bad)
-        for query in (canonical_form, components, pointer_component_graph, recover_legal_string):
+        queries = (canonical_form, components, pointer_component_graph, recover_legal_string)
+        for query in (*queries, arg_to_json, lambda g: is_merge_legal(g, ())):
             with pytest.raises(InvalidGraphError):
                 query(bad)
 
@@ -389,6 +429,14 @@ class TestExtended:
 
     def test_extended_json_round_trip(self):
         e = extended_from_json(load("crossed_merge"))
+        assert extended_from_json(extended_to_json(e)) == e
+
+    def test_large_extended_json_round_trip(self):
+        rng = random.Random(33)
+        symbols = [p for p in range(2, 3202) for _ in range(2)]
+        rng.shuffle(symbols)
+        u = LegalString(tuple(Pointer(p, rng.random() < 0.5) for p in symbols))
+        e = build_extended_reduction_graph(u)
         assert extended_from_json(extended_to_json(e)) == e
 
     def test_extended_isomorphism_examples(self):
