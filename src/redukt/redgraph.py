@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .strings import LegalString, Pointer
 
@@ -221,10 +221,22 @@ class ExtendedARG:
         self.__dict__.update(_merge=merge, _path=path, _pos=pos)
 
 
-def _merge_partners(idx: _Index, edges: Iterable[Edge]) -> list[int]:
+def _merge_partners(idx: _Index, edges: Collection[Edge]) -> list[int]:
     """Partner array of a merge-legal edge set: same-label pairs of
     labelled vertices, no desire edge among them, covering every labelled
-    vertex exactly once.  Raises ValueError naming the first violation."""
+    vertex exactly once.  Raises ValueError naming the first violation,
+    with the edges taken in the order of their ends' vertex numbers, so
+    that the message does not depend on set iteration order."""
+    try:
+        return _merge_array(idx, edges)
+    except ValueError:
+        pass
+    # only on the error path: the same check again, edges sorted, raises
+    n = len(idx.ids)
+    return _merge_array(idx, sorted(edges, key=lambda e: sorted((idx.num.get(v, n), repr(v)) for v in e)))
+
+
+def _merge_array(idx: _Index, edges: Iterable[Edge]) -> list[int]:
     merge = [-1] * len(idx.ids)
     overlap = False
     for e in edges:
@@ -261,9 +273,11 @@ def _id_key(v: str):
     # natural sort: "I10'" sorts after "I2" and before "s"/"t".  Ids equal
     # up to leading zeros ("x1", "x01") are ordered by the raw id, in a last
     # part (-1, v) that sorts before every other part, so "Ix" < "Ix2"; a
-    # key (parts, v) gives the same order but compares the parts twice
+    # key (parts, v) gives the same order but compares the parts twice.
+    # isdecimal, not isdigit: a part such as "²" is a digit that \d and
+    # int() both reject
     parts = re.split(r"(\d+)", v)
-    return (*((1, int(p)) if p.isdigit() else (0, p) for p in parts), (-1, v))
+    return (*((1, int(p)) if p.isdecimal() else (0, p) for p in parts), (-1, v))
 
 
 def _pair(a: str, b: str) -> Edge:
@@ -394,16 +408,18 @@ def _is_symbol(value) -> bool:
 
 def _shape_problems(vertices, label, reality, desire) -> list[str]:
     """Every violated shape condition of a graph whose unlabelled
-    vertices are exactly its two endpoints.  Only the vertices reported
-    are sorted, so a valid graph costs one pass over its edges."""
+    vertices are exactly its two endpoints.  Only the vertices and edges
+    reported are sorted, in natural id order, so a valid graph costs one
+    pass over its edges and the report does not depend on set order."""
     problems = [
         f"vertex {v!r} has bad label {label[v]!r}"
         for v in sorted((v for v in label if not _is_symbol(label[v])), key=_id_key)
     ]
     for key, edges in (("reality", reality), ("desire", desire)):
-        for e in edges:
-            if len(e) != 2 or not set(e) <= vertices:
-                problems.append(f"{key} edge {sorted(e)} is not a pair of distinct vertices")
+        bad = [e for e in edges if len(e) != 2 or not set(e) <= vertices]
+        # key=str: an edge of a directly built ARG may hold non-string ends
+        for e in sorted(bad, key=lambda e: sorted(_id_key(str(v)) for v in e)):
+            problems.append(f"{key} edge {sorted(e, key=str)} is not a pair of distinct vertices")
     if problems:
         return problems
 
@@ -424,15 +440,18 @@ def _shape_problems(vertices, label, reality, desire) -> list[str]:
 
     # condition (3): desire edges are desirable
     dcount = dict.fromkeys(label, 0)
+    bad = []
     for e in desire:
         a, b = sorted(e)
         if a not in label or b not in label:
-            problems.append(f"desire edge {[a, b]} touches an unlabelled vertex")
+            bad.append((a, b, "touches an unlabelled vertex"))
             continue
         if label[a] != label[b]:
-            problems.append(f"desire edge {[a, b]} joins labels {label[a]} and {label[b]}")
+            bad.append((a, b, f"joins labels {label[a]} and {label[b]}"))
         dcount[a] += 1
         dcount[b] += 1
+    for a, b, problem in sorted(bad, key=lambda x: (_id_key(x[0]), _id_key(x[1]))):
+        problems.append(f"desire edge {[a, b]} {problem}")
     for v in sorted((v for v, c in dcount.items() if c != 1), key=_id_key):
         problems.append(f"vertex {v!r} lies in {dcount[v]} desire edges, expected exactly 1")
     return problems

@@ -40,15 +40,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .redgraph import build_reduction_graph, canonical_form
-from .strings import (
-    LegalString,
-    _occurrences,
-    canonical_equiv_rep,
-    inverse,
-    is_positive,
-    overlap,
-    positive_symbols,
-)
+from .strings import LegalString, _from_word, _occurrences, _scan, is_positive, overlap
 
 
 class NotApplicableError(ValueError):
@@ -154,12 +146,45 @@ def _positions(u: LegalString, p: int) -> tuple[int, int]:
         raise NotApplicableError(str(exc)) from exc
 
 
+# The rule kernels: each takes a word (letters as signed ints, -p for a
+# barred p) and the 0-based positions of its pointers, (i, j) for p, or
+# (i1, j1, i2, j2) with p at i1, i2 and q at j1, j2, i1 < j1 < i2 < j2,
+# and returns the image word.  Applicability is the caller's to check.
+
+
+def _inv(segment: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-x for x in reversed(segment)])
+
+
+def _snr(w, i, j):
+    return w[:i] + w[j + 1 :]
+
+
+def _spr(w, i, j):
+    return w[:i] + _inv(w[i + 1 : j]) + w[j + 1 :]
+
+
+def _sdr(w, i1, j1, i2, j2):
+    return w[:i1] + w[i2 + 1 : j2] + w[j1 + 1 : i2] + w[i1 + 1 : j1] + w[j2 + 1 :]
+
+
+def _dspr(w, i, j):
+    return w[: i + 1] + _inv(w[i + 1 : j]) + w[j:]
+
+
+def _dsdr(w, i1, j1, i2, j2):
+    return w[: i1 + 1] + w[i2 + 1 : j2] + w[j1 : i2 + 1] + w[i1 + 1 : j1] + w[j2:]
+
+
+_KERNELS = dict(snr=_snr, spr=_spr, sdr=_sdr, dspr=_dspr, dsdr=_dsdr)
+
+
 def apply_snr(u: LegalString, p: int) -> LegalString:
     """Delete an adjacent equal-signed pair p p (or both barred)."""
     i, j = _positions(u, p)
     if j != i + 1 or u.letters[i] != u.letters[j]:
         raise NotApplicableError(f"snr({p}): occurrences not adjacent and equal-signed")
-    return LegalString(u.letters[:i] + u.letters[j + 1 :])
+    return _from_word(_snr(u._word, i, j))
 
 
 def apply_spr(u: LegalString, p: int) -> LegalString:
@@ -167,7 +192,7 @@ def apply_spr(u: LegalString, p: int) -> LegalString:
     i, j = _positions(u, p)
     if u.letters[i].barred == u.letters[j].barred:
         raise NotApplicableError(f"spr({p}): {p} is not positive")
-    return LegalString(u.letters[:i] + inverse(u.letters[i + 1 : j]) + u.letters[j + 1 :])
+    return _from_word(_spr(u._word, i, j))
 
 
 def _double_positions(u: LegalString, p: int, q: int) -> tuple[int, int, int, int]:
@@ -187,8 +212,7 @@ def apply_sdr(u: LegalString, p: int, q: int) -> LegalString:
     i1, j1, i2, j2 = _double_positions(u, p, q)
     if is_positive(u, p) or is_positive(u, q):
         raise NotApplicableError(f"sdr({p},{q}): both pointers must be negative")
-    x = u.letters
-    return LegalString(x[:i1] + x[i2 + 1 : j2] + x[j1 + 1 : i2] + x[i1 + 1 : j1] + x[j2 + 1 :])
+    return _from_word(_sdr(u._word, i1, j1, i2, j2))
 
 
 def apply_dspr(u: LegalString, p: int) -> LegalString:
@@ -196,7 +220,7 @@ def apply_dspr(u: LegalString, p: int) -> LegalString:
     i, j = _positions(u, p)
     if u.letters[i].barred != u.letters[j].barred:
         raise NotApplicableError(f"dspr({p}): {p} is not negative")
-    return LegalString(u.letters[: i + 1] + inverse(u.letters[i + 1 : j]) + u.letters[j:])
+    return _from_word(_dspr(u._word, i, j))
 
 
 def apply_dsdr(u: LegalString, p: int, q: int) -> LegalString:
@@ -204,8 +228,7 @@ def apply_dsdr(u: LegalString, p: int, q: int) -> LegalString:
     i1, j1, i2, j2 = _double_positions(u, p, q)
     if not (is_positive(u, p) and is_positive(u, q)):
         raise NotApplicableError(f"dsdr({p},{q}): both pointers must be positive")
-    x = u.letters
-    return LegalString(x[: i1 + 1] + x[i2 + 1 : j2] + x[j1 : i2 + 1] + x[i1 + 1 : j1] + x[j2:])
+    return _from_word(_dsdr(u._word, i1, j1, i2, j2))
 
 
 _APPLY = dict(snr=apply_snr, spr=apply_spr, sdr=apply_sdr, dspr=apply_dspr, dsdr=apply_dsdr)
@@ -221,8 +244,16 @@ def apply_sequence(u: LegalString, rules: Iterable[StringRule | DualRule]) -> Le
     return u
 
 
-def _first_occurrence_order(u: LegalString, p: int, q: int) -> tuple[int, int]:
-    return (p, q) if u._occ[p][0] < u._occ[q][0] else (q, p)
+# A site is one rule matching a word: (kind, symbols, positions), the
+# symbols named as in the rule and the positions as its kernel takes them.
+
+
+def _double_site(kind: str, occ, p: int, q: int):
+    # the site of a two-symbol rule on p and q, named in first-occurrence order
+    (i1, i2), (j1, j2) = occ[p], occ[q]
+    if i1 > j1:
+        p, q, i1, i2, j1, j2 = q, p, j1, j2, i1, i2
+    return kind, (p, q), (i1, j1, i2, j2)
 
 
 def _crossing_openers(word: Iterable[int]) -> set[int]:
@@ -242,22 +273,24 @@ def _crossing_openers(word: Iterable[int]) -> set[int]:
     return out
 
 
-def _next_reduction_rule(u: LegalString) -> StringRule:
-    x, occ = u.letters, u._occ
-    adjacent = [p for p, (i, j) in occ.items() if j == i + 1 and x[i].barred == x[j].barred]
+def _next_reduction_site(w: tuple[int, ...], occ: dict[int, tuple[int, int]]):
+    # w is canonical (first occurrences unbarred), so a symbol p is
+    # positive exactly when its second letter is -p
+    adjacent = [p for p, (i, j) in occ.items() if j == i + 1 and w[j] > 0]
     if adjacent:
-        return StringRule("snr", (min(adjacent),))
-    positive = positive_symbols(u)
+        p = min(adjacent)
+        return "snr", (p,), occ[p]
+    positive = [p for p, (i, j) in occ.items() if w[j] < 0]
     if positive:
-        return StringRule("spr", (min(positive),))
-    # all negative, so some pair overlaps (an innermost interval would be
-    # an snr pair); the least pair p < q: p is the least symbol
-    # overlapping any other, q the least symbol overlapping p
-    word = [y.symbol for y in x]
-    p = min(_crossing_openers(word) | _crossing_openers(reversed(word)))
+        p = min(positive)
+        return "spr", (p,), occ[p]
+    # all negative, so no letter is barred and some pair overlaps (an
+    # innermost interval would be an snr pair); the least pair p < q: p is
+    # the least symbol overlapping any other, q the least symbol overlapping p
+    p = min(_crossing_openers(w) | _crossing_openers(reversed(w)))
     i, j = occ[p]
-    q = min(s for s in word[i + 1 : j] if occ[s][0] < i or occ[s][1] > j)
-    return StringRule("sdr", _first_occurrence_order(u, p, q))
+    q = min(s for s in w[i + 1 : j] if occ[s][0] < i or occ[s][1] > j)
+    return _double_site("sdr", occ, p, q)
 
 
 def successful_reduction_search(u: LegalString) -> RuleSequence:
@@ -269,53 +302,75 @@ def successful_reduction_search(u: LegalString) -> RuleSequence:
     first-occurrence order.  Every nonempty legal string admits one (an
     adjacent equal pair, a positive symbol, or, failing both, an innermost
     interval forces an overlapping negative pair), and every rule shortens
-    the string, so the search never backtracks.  Through the occurrence
-    index a step costs O(n) on n letters, the search O(n^2).
+    the string, so the search never backtracks.
+
+    The search steps words (letters as signed ints, -p for a barred p)
+    through the rule kernels and builds no intermediate LegalString.
+    Each word passes the legality test in the one pass that builds its
+    occurrence index and re-signs it to its canonical representative;
+    re-signing a symbol keeps every rule's applicability and commutes
+    with every rule, so the rules chosen are those for u itself.  A step
+    costs O(n) on n letters, the search O(n^2).
     """
     out = []
-    while len(u):
-        rule = _next_reduction_rule(u)
-        out.append(rule)
-        u = apply_rule(u, rule)
+    w, occ = _scan(u._word)
+    while w:
+        kind, symbols, positions = _next_reduction_site(w, occ)
+        out.append(StringRule(kind, symbols))
+        w, occ = _scan(_KERNELS[kind](w, *positions))
     return RuleSequence(tuple(out))
 
 
 _dual_rule = cache(DualRule)  # rules are values: one instance per rule seen
 
 
+def _dual_sites(w: tuple[int, ...], occ: dict[int, tuple[int, int]]):
+    # every dual rule matching the word, dspr by symbol, then dsdr by
+    # symbol pair
+    positive = []
+    for p in sorted(occ):
+        i, j = occ[p]
+        if (w[i] < 0) == (w[j] < 0):
+            yield "dspr", (p,), (i, j)
+        else:
+            positive.append(p)
+    for p, q in combinations(positive, 2):
+        site = _double_site("dsdr", occ, p, q)
+        _, j1, i2, j2 = site[2]
+        if j1 < i2 < j2:  # p and q overlap
+            yield site
+
+
 def applicable_dual_rules(u: LegalString) -> list[DualRule]:
     """Every dual rule instance matching u, deterministically ordered."""
-    positive = positive_symbols(u)
-    out = [_dual_rule("dspr", (p,)) for p in sorted(u._occ) if p not in positive]
-    for p, q in combinations(sorted(positive), 2):
-        if overlap(u, p, q):
-            out.append(_dual_rule("dsdr", _first_occurrence_order(u, p, q)))
-    return out
+    return [_dual_rule(kind, symbols) for kind, symbols, _ in _dual_sites(u._word, u._occ)]
 
 
 def orbit(u: LegalString, max_size: int = 10000) -> frozenset[LegalString]:
     """All canonical representatives reachable from u by dual rules.
 
-    Breadth-first closure; every frontier string is canonicalized under
-    equivalence before deduplication, since re-signing alone never ends
-    the search otherwise.  Raises OrbitLimitError when the orbit would
-    exceed max_size members, and ValueError when max_size < 1.
+    Breadth-first closure over words (letters as signed ints): every
+    image passes the legality test and is canonicalized under
+    equivalence, in one pass, before deduplication, since re-signing
+    alone never ends the search otherwise.  Members become LegalStrings
+    once, at the end.  Raises OrbitLimitError exactly when the orbit has
+    more than max_size members, and ValueError when max_size < 1.
     """
     if max_size < 1:
         raise ValueError(f"orbit budget must be at least 1, got {max_size}")
-    start = canonical_equiv_rep(u)
-    seen = {start}
+    start = _scan(u._word)
+    seen = {start[0]}
     queue = deque([start])
     while queue:
-        v = queue.popleft()
-        for rule in applicable_dual_rules(v):
-            w = canonical_equiv_rep(apply_rule(v, rule))
-            if w not in seen:
+        w, occ = queue.popleft()
+        for kind, _, positions in _dual_sites(w, occ):
+            image = _scan(_KERNELS[kind](w, *positions))
+            if image[0] not in seen:
                 if len(seen) >= max_size:
                     raise OrbitLimitError(f"orbit exceeds {max_size} members")
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+                seen.add(image[0])
+                queue.append(image)
+    return frozenset(map(_from_word, seen))
 
 
 def dual_equivalent(u: LegalString, v: LegalString) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 
@@ -65,6 +65,8 @@ class LegalString:
 
     The legality check builds the occurrence index _occ, symbol -> 0-based
     positions (i, j), i < j, outside the fields: ==, hash, repr ignore it.
+    The word view _word, the letters as signed ints with -p for a barred
+    p, is computed on first use and cached, also outside the fields.
     """
 
     letters: tuple[Pointer, ...]
@@ -81,10 +83,13 @@ class LegalString:
                 occ[x.symbol] = (i, j)
         # legal iff every symbol seen has a second occurrence and none a third
         if len(occ) != len(first) or 2 * len(occ) != len(letters):
-            bad = sorted(p for p, c in Counter(x.symbol for x in letters).items() if c != 2)
-            raise LegalityError(f"symbols not occurring exactly twice: {bad}")
+            raise _legality_error(x.symbol for x in letters)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_occ", occ)
+
+    @cached_property
+    def _word(self) -> tuple[int, ...]:
+        return tuple(-x.symbol if x.barred else x.symbol for x in self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -94,6 +99,39 @@ class LegalString:
 
     def __str__(self) -> str:
         return format_legal_string(self)
+
+
+def _legality_error(symbols: Iterable[int]) -> LegalityError:
+    bad = sorted(p for p, c in Counter(symbols).items() if c != 2)
+    return LegalityError(f"symbols not occurring exactly twice: {bad}")
+
+
+def _scan(word: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    """One pass over a word, letters as signed ints with -p for a barred p:
+    its canonical representative (first occurrences unbarred, each second
+    occurrence re-signed with its first) and its occurrence index, symbol
+    -> 0-based (i, j).  Raises LegalityError, as LegalString does, unless
+    every symbol occurs exactly twice."""
+    first: dict[int, int] = {}
+    occ: dict[int, tuple[int, int]] = {}
+    out = []
+    for j, x in enumerate(word):
+        p = -x if x < 0 else x
+        i = first.setdefault(p, j)
+        if i == j:
+            out.append(p)
+        else:
+            occ[p] = (i, j)
+            out.append(-x if word[i] < 0 else x)
+    if len(occ) != len(first) or 2 * len(occ) != len(word):
+        raise _legality_error(map(abs, word))
+    return tuple(out), occ
+
+
+def _from_word(word: tuple[int, ...]) -> LegalString:
+    u = LegalString(tuple([_pointer(abs(x), x < 0) for x in word]))
+    u.__dict__["_word"] = word  # the cached_property's slot, filled in advance
+    return u
 
 
 def legal_string(letters: Iterable[Pointer]) -> LegalString:
@@ -112,8 +150,9 @@ def parse_legal_string(text: str) -> LegalString:
     letters = []
     for token in text.split():
         body = token[1:] if token.startswith("-") else token
-        # reject '+5', '07' is fine, '2.0'/'1'/'-1' are not
-        if not body.isdigit():
+        # reject '+5', '07' is fine, '2.0'/'1'/'-1' are not, nor '²', a
+        # digit but not a decimal one, which int() rejects
+        if not body.isdecimal():
             raise ParseError(f"bad token {token!r}")
         value = int(body)
         if value < 2:
@@ -123,7 +162,7 @@ def parse_legal_string(text: str) -> LegalString:
 
 
 def format_legal_string(u: LegalString) -> str:
-    return " ".join(str(x) for x in u.letters)
+    return " ".join(map(str, u._word))  # str(-p) is the text of a barred p
 
 
 def domain(u: LegalString) -> frozenset[int]:
@@ -163,9 +202,8 @@ def overlap(u: LegalString, p: int, q: int) -> bool:
 def inverse(u):
     """The reversed string with every letter barred.
 
-    Defined on any pointer sequence, not just legal strings, since rule
-    applications invert mid-string segments; a LegalString comes back as
-    a LegalString, a plain sequence as a tuple.
+    Defined on any pointer sequence, not just legal strings: a
+    LegalString comes back as a LegalString, a plain sequence as a tuple.
     """
     out = tuple(x.bar() for x in reversed(tuple(u)))
     return LegalString(out) if isinstance(u, LegalString) else out
@@ -187,14 +225,8 @@ def canonical_equiv_rep(u: LegalString) -> LegalString:
 
     The second occurrence of a symbol is barred exactly when the symbol
     is positive, so equivalent strings map to the same representative.
-    It re-signs exactly the symbols whose first occurrence is barred:
-    one pass over the occurrence index, and u itself when there are none.
+    It re-signs exactly the symbols whose first occurrence is barred, on
+    u's word, and returns u itself when there are none.
     """
-    x = u.letters
-    resign = [(i, j) for i, j in u._occ.values() if x[i].barred]
-    if not resign:
-        return u
-    out = list(x)
-    for i, j in resign:
-        out[i], out[j] = x[i].bar(), x[j].bar()
-    return LegalString(tuple(out))
+    word = _scan(u._word)[0]
+    return u if word == u._word else _from_word(word)

@@ -3,9 +3,11 @@
 Everything here recomputes results by brute force and avoids the
 production algorithms: isomorphism by backtracking bijection search,
 merge-legal sets by per-symbol matching enumeration, connectivity by a
-local breadth-first search, occurrences by a letter scan, and the greedy
-reduction by enumerating every pair in the documented order.  Tests
-compare library output against these.
+local breadth-first search, occurrences by a letter scan, the five
+rules by their textbook definitions on (symbol, barred) pairs, the
+greedy reduction by enumerating every pair in the documented order, and
+orbits by trying every rule instance on every member.  Tests compare
+library output against these; nothing here imports redukt.rules.
 """
 
 from __future__ import annotations
@@ -41,13 +43,67 @@ def _interleave(a, b) -> bool:
     return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
 
 
+def _pairs(u: LegalString) -> tuple:
+    return tuple((x.symbol, x.barred) for x in u.letters)
+
+
+def _inverse(segment) -> tuple:
+    return tuple((s, not b) for s, b in reversed(segment))
+
+
+def textbook_rule(w: tuple, kind: str, pointers: tuple) -> tuple | None:
+    """The image of the (symbol, barred) word w under one rule instance,
+    cut into the segments of its textbook definition, or None when the
+    rule does not match w.  p' is p with the other bar:
+
+        snr_p      u1 p p u2                 -> u1 u2
+        spr_p      u1 p u2 p' u3             -> u1 inv(u2) u3
+        dspr_p     u1 p u2 p u3              -> u1 p inv(u2) p u3
+        sdr_p,q    u1 p u2 q u3 p u4 q u5    -> u1 u4 u3 u2 u5
+        dsdr_p,q   u1 p u2 q u3 p' u4 q' u5  -> u1 p u4 q u3 p' u2 q' u5
+    """
+    pos: dict[int, list[int]] = {}
+    for i, (s, _) in enumerate(w):
+        pos.setdefault(s, []).append(i)
+    if any(p not in pos for p in pointers):
+        return None
+    positive = {s for s, (i, j) in pos.items() if w[i][1] != w[j][1]}
+    if len(pointers) == 1:
+        (p,) = pointers
+        i, j = pos[p]
+        u1, u2, u3 = w[:i], w[i + 1 : j], w[j + 1 :]
+        if kind == "snr" and not u2 and w[i] == w[j]:
+            return u1 + u3
+        if kind == "spr" and p in positive:
+            return u1 + _inverse(u2) + u3
+        if kind == "dspr" and p not in positive:
+            return u1 + (w[i],) + _inverse(u2) + (w[j],) + u3
+        return None
+    p, q = pointers
+    (i1, i2), (j1, j2) = pos[p], pos[q]
+    if p == q or not i1 < j1 < i2 < j2:
+        return None
+    u1, u2, u3, u4, u5 = w[:i1], w[i1 + 1 : j1], w[j1 + 1 : i2], w[i2 + 1 : j2], w[j2 + 1 :]
+    if kind == "sdr" and not {p, q} & positive:
+        return u1 + u4 + u3 + u2 + u5
+    if kind == "dsdr" and {p, q} <= positive:
+        return u1 + (w[i1],) + u4 + (w[j1],) + u3 + (w[i2],) + u2 + (w[j2],) + u5
+    return None
+
+
+def oracle_rule(u: LegalString, kind: str, pointers: tuple) -> LegalString | None:
+    """textbook_rule on a legal string."""
+    w = textbook_rule(_pairs(u), kind, pointers)
+    return None if w is None else LegalString(tuple(Pointer(s, b) for s, b in w))
+
+
 def oracle_reduction(u: LegalString) -> list[str]:
     """The greedy reduction sequence, by enumeration in the documented
     order: snr on the least symbol whose letters are adjacent and equal,
     else spr on the least positive symbol, else sdr on the first
     overlapping pair of all pairs p < q, named in first-occurrence
     order.  Rules are applied to (symbol, barred) pairs."""
-    w = [(x.symbol, x.barred) for x in u.letters]
+    w = _pairs(u)
     out = []
     while w:
         pos: dict[int, list[int]] = {}
@@ -56,24 +112,40 @@ def oracle_reduction(u: LegalString) -> list[str]:
         adjacent = sorted(w[i][0] for i in range(len(w) - 1) if w[i] == w[i + 1])
         positive = sorted(p for p, (i, j) in pos.items() if w[i][1] != w[j][1])
         if adjacent:
-            p = adjacent[0]
-            i, j = pos[p]
-            w = w[:i] + w[j + 1 :]
-            out.append(f"snr({p})")
+            kind, pointers = "snr", (adjacent[0],)
         elif positive:
-            p = positive[0]
-            i, j = pos[p]
-            w = w[:i] + [(s, not b) for s, b in reversed(w[i + 1 : j])] + w[j + 1 :]
-            out.append(f"spr({p})")
+            kind, pointers = "spr", (positive[0],)
         else:
             pairs = [(p, q) for p, q in combinations(sorted(pos), 2) if _interleave(pos[p], pos[q])]
             p, q = pairs[0]
-            if pos[q][0] < pos[p][0]:
-                p, q = q, p
-            (i1, i2), (j1, j2) = pos[p], pos[q]
-            w = w[:i1] + w[i2 + 1 : j2] + w[j1 + 1 : i2] + w[i1 + 1 : j1] + w[j2 + 1 :]
-            out.append(f"sdr({p},{q})")
+            kind, pointers = "sdr", (p, q) if pos[p][0] < pos[q][0] else (q, p)
+        w = textbook_rule(w, kind, pointers)
+        out.append(f"{kind}({','.join(map(str, pointers))})")
     return out
+
+
+def _resigned(w: tuple) -> tuple:
+    # the equivalent word whose first occurrences are unbarred
+    flip: dict[int, bool] = {}
+    return tuple((s, b != flip.setdefault(s, b)) for s, b in w)
+
+
+def oracle_orbit(u: LegalString) -> frozenset:
+    """The canonical representatives reachable from u by dual rules, by
+    breadth-first search that tries dspr on every symbol and dsdr on
+    every ordered pair of each member, by their textbook definitions."""
+    start = _resigned(_pairs(u))
+    seen, frontier = {start}, [start]
+    while frontier:
+        images = []
+        for w in frontier:
+            symbols = sorted({s for s, _ in w})
+            tries = [("dspr", (p,)) for p in symbols]
+            tries += [("dsdr", pq) for pq in permutations(symbols, 2)]
+            images += [textbook_rule(w, kind, pointers) for kind, pointers in tries]
+        frontier = [v for v in {_resigned(v) for v in images if v is not None} if v not in seen]
+        seen.update(frontier)
+    return frozenset(LegalString(tuple(Pointer(s, b) for s, b in w)) for w in seen)
 
 
 def _partner_maps(g: ARG):

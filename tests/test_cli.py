@@ -90,6 +90,23 @@ class TestBuild:
         assert code == 1
         assert error_payload(err)["error"] == "parse"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "² ²"),
+            ("extend", "² ²"),
+            ("pc", "² ²"),
+            ("fiber-check", "² ²", "2 2"),
+            ("orbit", "² ²"),
+            ("reduce", "2 ² 2 ²"),
+        ],
+    )
+    def test_non_decimal_digit(self, capsys, argv):
+        # '²' is a digit to str.isdigit but not to int(): once a traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert error_payload(err)["error"] == "parse"
+
 
 class TestExtend:
     def test_json_has_merge(self, capsys):
@@ -191,6 +208,19 @@ class TestCheckRange:
         payload = error_payload(err)
         assert payload["error"] == "invalid-graph"
         assert any("cannot read" in d for d in payload["diagnostics"])
+
+    def test_superscript_digit_ids(self, capsys, graph_file):
+        # ids with a digit that is not a decimal digit sort as text
+        data = json.dumps(arg_to_json(build_reduction_graph(parse_legal_string("2 3 -2 3"))))
+        data = data.replace('"I1"', '"²"').replace('"I2"', '"I3²"')
+        path = graph_file("g.json", json.loads(data))
+        code, out, err = run(capsys, "check-range", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"in_range": True, "reasons": []}
+        assert run(capsys, "pc", path)[0] == 0
+        code, out, _ = run(capsys, "recover", path, "--format", "text")
+        assert code == 0
+        assert len(out.split()) == 4
 
     def test_unreadable_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

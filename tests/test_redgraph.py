@@ -181,6 +181,66 @@ class TestValidate:
         assert ids == ["s", "t", "x01", "x1", "x02", "x2", "y01", "y1", "y02", "y2"]
         assert data["desire"] == [["x01", "x02"], ["x1", "x2"], ["y01", "y2"], ["y1", "y02"]]
 
+    def test_error_messages_ignore_hash_seed(self):
+        # a merge set with four bad edges names one of them, and a directly
+        # built ARG lists its problems, in the same order under every seed
+        script = textwrap.dedent(
+            """
+            from redukt import ARG, ColouredBase, ExtendedARG, InvalidGraphError
+            from redukt import build_reduction_graph, canonical_form, parse_legal_string
+
+            g = build_reduction_graph(parse_legal_string("2 3 4 5 2 3 4 5"))
+            merge = frozenset(frozenset((f"I{i}", f"I{i + 1}")) for i in (7, 5, 3, 1))
+            try:
+                ExtendedARG(g, merge)
+            except ValueError as exc:
+                print(exc)
+            label = {f"{p}{c}": p for p in (2, 3, 4) for c in "abcd"}
+            base = ColouredBase(frozenset(label) | {"s", "t"}, "s", "t", label)
+            vs = ["s", *sorted(label), "t"]
+            reality = frozenset(frozenset(vs[i : i + 2]) for i in range(0, len(vs), 2))
+            desire = [("2a", "3a"), ("2b", "4b"), ("3c", "4c"), ("2c", "2d"), ("3b", "s"), ("4a", "t")]
+            bad_pairs = reality | {frozenset(("s", "x9")), frozenset(("y", "t"))}
+            for r in (reality, bad_pairs):
+                try:
+                    canonical_form(ARG(base, r, frozenset(map(frozenset, desire))))
+                except InvalidGraphError as exc:
+                    print(exc.diagnostics)
+            """
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        outputs = set()
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+                capture_output=True,
+                text=True,
+                timeout=30,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        merge_message, shape, pairs = outputs.pop().splitlines()
+        assert merge_message == "merge edge ['I1', 'I2'] does not join equal labels"
+        assert shape.startswith(
+            "[\"desire edge ['2a', '3a'] joins labels 2 and 3\", "
+            "\"desire edge ['2b', '4b'] joins labels 2 and 4\", "
+            "\"desire edge ['3b', 's'] touches an unlabelled vertex\", "
+            "\"desire edge ['3c', '4c'] joins labels 3 and 4\", "
+        )
+        assert pairs == (
+            "[\"reality edge ['s', 'x9'] is not a pair of distinct vertices\", "
+            "\"reality edge ['t', 'y'] is not a pair of distinct vertices\"]"
+        )
+
+    def test_edge_with_a_non_string_end_is_reported(self):
+        g = build_reduction_graph(parse_legal_string("2 2"))
+        reality = (g.reality - {frozenset({"s", "I1"})}) | {frozenset({"s", 3})}
+        with pytest.raises(InvalidGraphError) as info:
+            canonical_form(ARG(g.base, reality, g.desire))
+        assert "reality edge [3, 's'] is not a pair of distinct vertices" in info.value.diagnostics
+
     def test_label_quadruple_violation(self):
         data = {
             "vertices": [{"id": "a", "label": 2}, {"id": "b", "label": 2}, {"id": "s"}, {"id": "t"}],

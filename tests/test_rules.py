@@ -3,7 +3,7 @@ in-place duals, rule sequences, reduction search, orbits, and the
 graph-equivalence decision."""
 
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -11,6 +11,7 @@ from hypothesis import given
 from redukt import (
     DualRule,
     ExtendedARG,
+    LegalString,
     NotApplicableError,
     OrbitLimitError,
     RuleSequence,
@@ -50,7 +51,9 @@ from oracles import (
     enumerate_merge_legal,
     legal_string_strategy,
     oracle_connected,
+    oracle_orbit,
     oracle_reduction,
+    oracle_rule,
     random_legal_string,
 )
 
@@ -214,6 +217,32 @@ class TestDualRules:
                 image = build_extended_reduction_graph(apply_rule(u, rule))
                 flipped = ExtendedARG(arg=g, merge=flip_set(g, base, rule.dom))
                 assert are_isomorphic_extended(image, flipped)
+
+
+class TestTextbookRules:
+    @given(legal_string_strategy(max_symbols=6))
+    def test_every_rule_instance_agrees_with_textbook(self, u):
+        # each rule on every symbol and ordered pair: the library image
+        # equals the textbook one, or both say the rule does not match
+        symbols = sorted(domain(u))
+        instances = [
+            (kind, cls, pointers)
+            for kind, cls, arity in [
+                ("snr", StringRule, 1),
+                ("spr", StringRule, 1),
+                ("sdr", StringRule, 2),
+                ("dspr", DualRule, 1),
+                ("dsdr", DualRule, 2),
+            ]
+            for pointers in permutations(symbols, arity)
+        ]
+        for kind, cls, pointers in instances:
+            expected = oracle_rule(u, kind, pointers)
+            if expected is None:
+                with pytest.raises(NotApplicableError):
+                    apply_rule(u, cls(kind, pointers))
+            else:
+                assert apply_rule(u, cls(kind, pointers)) == expected
 
 
 class TestRuleText:
@@ -405,6 +434,44 @@ class TestOrbit:
             if oracle_connected(g.vertices, g.reality | e)
         }
         assert readings == orbit(u)
+
+    @given(legal_string_strategy(max_symbols=7))
+    def test_agrees_with_oracle(self, u):
+        assert orbit(u) == oracle_orbit(u)
+
+    @given(legal_string_strategy(max_symbols=7, bars=False))
+    def test_agrees_with_oracle_without_bars(self, u):
+        assert orbit(u) == oracle_orbit(u)
+
+    @given(legal_string_strategy(max_symbols=6))
+    def test_budget_is_exact(self, u):
+        # the budget error depends on the orbit's size only
+        n = len(oracle_orbit(u))
+        assert len(orbit(u, max_size=n)) == n
+        if n >= 2:
+            with pytest.raises(OrbitLimitError, match=f"exceeds {n - 1} members"):
+                orbit(u, max_size=n - 1)
+
+    def test_words_are_not_legal_strings(self, monkeypatch):
+        # orbit and reduce step signed-integer words: orbit builds one
+        # LegalString per member, at the end, and reduce builds none
+        rng = random.Random(35)
+        strings = [U, P("2 3 -2 -3 4 5 4 -5")] + [random_legal_string(rng, 8) for _ in range(8)]
+        built = []
+        check = LegalString.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(LegalString, "__post_init__", counting)
+        for u in strings:
+            built.clear()
+            members = orbit(u)
+            assert len(built) <= len(members) + 1
+            built.clear()
+            successful_reduction_search(u)
+            assert built == []
 
     @given(legal_strings)
     def test_closure_and_membership(self, u):

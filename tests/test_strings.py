@@ -64,6 +64,12 @@ class TestParse:
         with pytest.raises((ParseError, LegalityError)):
             parse_legal_string(text)
 
+    @pytest.mark.parametrize("text", ["² ²", "2 ² 2 ²", "-² -²", "3³ 3³"])
+    def test_non_decimal_digits_rejected(self, text):
+        # str.isdigit accepts '²', int() does not: a ParseError, not a ValueError from int()
+        with pytest.raises(ParseError, match="bad token"):
+            parse_legal_string(text)
+
     def test_triple_occurrence_rejected(self):
         with pytest.raises(LegalityError):
             legal_string([Pointer(2), Pointer(2), Pointer(2, True), Pointer(3)])
