@@ -12,10 +12,16 @@ Subcommands
                                 pointer-component graph
     reduce "<u>"                a successful reduction sequence
 
-Exit status: 0 success, 1 malformed input, 2 negative decision (graph
-out of range, rule not applicable, orbit budget exceeded).  Errors are
-reported as one JSON object on stderr.  Graph commands take
---format json|dot|text; string-valued commands take json|text.
+Each command computes one JSON document.  --format json (the default)
+writes it; --format text, and dot for the graph commands build, extend
+and pc, write a rendering of it.  The other commands take json|text.
+
+Exit status: 0 success, 1 malformed input, 2 negative decision.  A
+graph out of range (check-range) or a pair that is not dual-equivalent
+(fiber-check) exits 2 with its document on stdout.  Every error is one
+JSON object {"error": kind, "message": ...} on stderr instead; kinds
+parse, legality, invalid-graph (with "diagnostics") and usage exit 1,
+out-of-range, not-applicable and budget-exceeded exit 2.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from pathlib import Path
 from .flips import OutOfRangeError, is_reduction_graph, realize_pc, recover_legal_string
 from .pcgraph import bridge_set, pc_to_dot, pc_to_json, pointer_component_graph
 from .redgraph import (
-    ARG,
-    ExtendedARG,
     InvalidGraphError,
     arg_to_json,
     build_extended_reduction_graph,
@@ -38,19 +42,9 @@ from .redgraph import (
     extended_to_json,
     validate_arg,
 )
-from .rules import (
-    NotApplicableError,
-    OrbitLimitError,
-    orbit,
-    successful_reduction_search,
-)
+from .rules import NotApplicableError, OrbitLimitError, orbit, successful_reduction_search
 from .rules import dual_equivalent as _dual_equivalent
-from .strings import (
-    LegalityError,
-    ParseError,
-    format_legal_string,
-    parse_legal_string,
-)
+from .strings import LegalityError, ParseError, format_legal_string, parse_legal_string
 
 DEFAULT_MAX_ORBIT = 10000
 
@@ -70,10 +64,6 @@ def _emit_error(kind: str, message: str, diagnostics: list[str] | None = None) -
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _print_json(data) -> None:
-    print(json.dumps(data, indent=2))
-
-
 def _load_json_file(path: str):
     try:
         text = Path(path).read_text()
@@ -85,7 +75,7 @@ def _load_json_file(path: str):
         raise InvalidGraphError([f"bad JSON in {path}: {exc}"]) from exc
 
 
-# DOT and text are formatters of the JSON document, so all three
+# DOT and text are renderings of a command's JSON document, so all three
 # formats list vertices and edges in one order
 _DOT_STYLES = {"reality": " [style=bold]", "desire": "", "merge": " [style=dashed]"}
 
@@ -109,36 +99,37 @@ def _graph_to_text(data: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit_graph(fmt: str, g: ARG | ExtendedARG) -> None:
-    data = arg_to_json(g) if isinstance(g, ARG) else extended_to_json(g)
-    if fmt == "json":
-        _print_json(data)
-    elif fmt == "dot":
-        print(_graph_to_dot(data))
-    else:
-        print(_graph_to_text(data))
+def _pc_to_text(data: dict) -> str:
+    edges = " ".join(f"{e['label']}:{'-'.join(e['ends'])}" for e in data["edges"])
+    bridges = " ".join(str(p) for p in data["bridges"])
+    return f"nodes: {' '.join(data['nodes'])}\nedges: {edges}\nbridges: {bridges}"
 
 
-def _emit_string(fmt: str, u) -> None:
-    text = format_legal_string(u)
-    if fmt == "json":
-        _print_json({"string": text})
-    else:
-        print(text)
+def _range_to_text(doc: dict) -> str:
+    return "in range" if doc["in_range"] else "out of range: " + "; ".join(doc["reasons"])
 
 
-def _cmd_build(args) -> int:
-    g = build_reduction_graph(parse_legal_string(args.string))
-    _emit_graph(args.format, g)
-    return 0
+# Each handler returns (exit status, JSON document, renderers): the
+# renderers map every other format the command accepts to a function of
+# the document, and main writes the one chosen
+_GRAPH = {"dot": _graph_to_dot, "text": _graph_to_text}
+_STRING = {"text": lambda doc: doc["string"]}
+_RANGE = {"text": _range_to_text}
+_FIBER = {"text": lambda doc: ("" if doc["dual_equivalent"] else "not ") + "dual-equivalent"}
+_ORBIT = {"text": lambda doc: "\n".join(doc["orbit"])}
+_RULES = {"text": lambda doc: " ".join(doc["rules"])}
 
 
-def _cmd_extend(args) -> int:
-    _emit_graph(args.format, build_extended_reduction_graph(parse_legal_string(args.string)))
-    return 0
+def _cmd_build(args) -> tuple[int, dict, dict]:
+    return 0, arg_to_json(build_reduction_graph(parse_legal_string(args.string))), _GRAPH
 
 
-def _cmd_pc(args) -> int:
+def _cmd_extend(args) -> tuple[int, dict, dict]:
+    g = build_extended_reduction_graph(parse_legal_string(args.string))
+    return 0, extended_to_json(g), _GRAPH
+
+
+def _cmd_pc(args) -> tuple[int, dict, dict]:
     try:
         is_file = Path(args.source).is_file()
     except OSError:  # ENAMETOOLONG: a legal string too long for a file name
@@ -148,48 +139,24 @@ def _cmd_pc(args) -> int:
     else:
         g = build_reduction_graph(parse_legal_string(args.source))
     m = pointer_component_graph(g)
-    bridges = sorted(bridge_set(m))
-    if args.format == "json":
-        out = pc_to_json(m)
-        out["bridges"] = bridges
-        _print_json(out)
-    elif args.format == "dot":
-        print(pc_to_dot(m))
-    else:
-        data = pc_to_json(m)
-        print("nodes: " + " ".join(data["nodes"]))
-        print(
-            "edges: "
-            + " ".join(f"{e['label']}:{'-'.join(e['ends'])}" for e in data["edges"])
-        )
-        print("bridges: " + " ".join(str(p) for p in bridges))
-    return 0
+    doc = {**pc_to_json(m), "bridges": sorted(bridge_set(m))}
+    return 0, doc, {"dot": lambda doc: pc_to_dot(m), "text": _pc_to_text}
 
 
-def _cmd_check_range(args) -> int:
-    g = validate_arg(_load_json_file(args.graph))
-    in_range = is_reduction_graph(g)
+def _cmd_check_range(args) -> tuple[int, dict, dict]:
+    in_range = is_reduction_graph(validate_arg(_load_json_file(args.graph)))
     reasons = [] if in_range else ["pointer-component graph disconnected"]
-    if args.format == "json":
-        _print_json({"in_range": in_range, "reasons": reasons})
-    else:
-        print("in range" if in_range else "out of range: " + "; ".join(reasons))
-    return 0 if in_range else 2
+    return 0 if in_range else 2, {"in_range": in_range, "reasons": reasons}, _RANGE
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args) -> tuple[int, dict, dict]:
     u = recover_legal_string(validate_arg(_load_json_file(args.graph)))
-    _emit_string(args.format, u)
-    return 0
+    return 0, {"string": format_legal_string(u)}, _STRING
 
 
-def _cmd_fiber_check(args) -> int:
+def _cmd_fiber_check(args) -> tuple[int, dict, dict]:
     verdict = _dual_equivalent(parse_legal_string(args.u), parse_legal_string(args.v))
-    if args.format == "json":
-        _print_json({"dual_equivalent": verdict})
-    else:
-        print("dual-equivalent" if verdict else "not dual-equivalent")
-    return 0 if verdict else 2
+    return 0 if verdict else 2, {"dual_equivalent": verdict}, _FIBER
 
 
 def _orbit_budget(text: str) -> int:
@@ -206,30 +173,20 @@ def _max_orbit(args) -> int:
         raise InvalidGraphError([f"bad REDUKT_MAX_ORBIT value {env!r}"]) from None
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple[int, dict, dict]:
     members = orbit(parse_legal_string(args.string), _max_orbit(args))
     texts = sorted(format_legal_string(u) for u in members)
-    if args.format == "json":
-        _print_json({"orbit": texts, "size": len(texts)})
-    else:
-        for t in texts:
-            print(t)
-    return 0
+    return 0, {"orbit": texts, "size": len(texts)}, _ORBIT
 
 
-def _cmd_realize_pc(args) -> int:
+def _cmd_realize_pc(args) -> tuple[int, dict, dict]:
     u = realize_pc(_load_json_file(args.multigraph), args.linear)
-    _emit_string(args.format, u)
-    return 0
+    return 0, {"string": format_legal_string(u)}, _STRING
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[int, dict, dict]:
     rules = successful_reduction_search(parse_legal_string(args.string))
-    if args.format == "json":
-        _print_json({"rules": [str(r) for r in rules]})
-    else:
-        print(" ".join(str(r) for r in rules))
-    return 0
+    return 0, {"rules": [str(r) for r in rules]}, _RULES
 
 
 def _build_parser() -> _Parser:
@@ -266,29 +223,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# exception class, error kind, exit status; the first match wins
+_ERRORS = (
+    (ParseError, "parse", 1),
+    (LegalityError, "legality", 1),
+    (InvalidGraphError, "invalid-graph", 1),
+    (OutOfRangeError, "out-of-range", 2),
+    (NotApplicableError, "not-applicable", 2),
+    (OrbitLimitError, "budget-exceeded", 2),
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ParseError as exc:
-        _emit_error("parse", str(exc))
-        return 1
-    except LegalityError as exc:
-        _emit_error("legality", str(exc))
-        return 1
-    except InvalidGraphError as exc:
-        _emit_error("invalid-graph", "graph data rejected", exc.diagnostics)
-        return 1
-    except OutOfRangeError as exc:
-        _emit_error("out-of-range", str(exc))
-        return 2
-    except NotApplicableError as exc:
-        _emit_error("not-applicable", str(exc))
-        return 2
-    except OrbitLimitError as exc:
-        _emit_error("budget-exceeded", str(exc))
-        return 2
+        code, doc, renderers = args.handler(args)
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
+        if isinstance(exc, InvalidGraphError):
+            _emit_error(kind, "graph data rejected", exc.diagnostics)
+        else:
+            _emit_error(kind, str(exc))
+        return code
+    print(json.dumps(doc, indent=2) if args.format == "json" else renderers[args.format](doc))
+    return code
 
 
 if __name__ == "__main__":

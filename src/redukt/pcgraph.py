@@ -87,9 +87,16 @@ def merge_rule(m: PointerComponentGraph, p: int) -> PointerComponentGraph:
 
 def is_connected(m: PointerComponentGraph) -> bool:
     """Multigraph connectivity; loops are irrelevant."""
+    return len(_forest(m)) >= len(m.nodes) - 1
+
+
+def _forest(m: PointerComponentGraph) -> list[int]:
+    """A spanning forest of the multigraph, as symbols: greedy over
+    symbols in increasing order, skipping loops and edges inside an
+    already-joined class."""
     uf = _UnionFind(m.nodes)
-    joins = sum(uf.union(*ends) for ends in m.endpoints.values() if len(ends) == 2)
-    return joins >= len(m.nodes) - 1
+    bridges = (p for p in sorted(m.endpoints) if len(m.endpoints[p]) == 2)
+    return [p for p in bridges if uf.union(*m.endpoints[p])]
 
 
 class _UnionFind:
@@ -137,19 +144,11 @@ def is_well_coloured(g: ARG) -> bool:
 
 
 def spanning_tree_pointers(m: PointerComponentGraph) -> frozenset[int]:
-    """A deterministic spanning tree of the multigraph, as symbols.
-
-    Greedy over symbols in increasing order, skipping loops and edges
-    inside an already-joined class; the result has |nodes| - 1 symbols.
+    """A deterministic spanning tree of the multigraph, as symbols: the
+    greedy forest of _forest, which has |nodes| - 1 symbols exactly when
+    the multigraph is connected.
     """
-    uf = _UnionFind(m.nodes)
-    chosen = []
-    for p in sorted(m.endpoints):
-        ends = m.endpoints[p]
-        if len(ends) == 2:
-            a, b = tuple(ends)
-            if uf.union(a, b):
-                chosen.append(p)
+    chosen = _forest(m)
     if len(chosen) != len(m.nodes) - 1:
         raise ValueError("pointer-component graph disconnected")
     return frozenset(chosen)

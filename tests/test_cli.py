@@ -121,15 +121,101 @@ class TestExtend:
         assert "[style=dashed]" in out
 
 
+GOLDEN = FIXTURES / "golden"
+# argv of each golden case; its stdout in format f is pinned in
+# tests/fixtures/golden/<case>.<ext of f>
+GOLDEN_ARGV = {
+    "build": ("build", U_TEXT),
+    "extend": ("extend", U_TEXT),
+    "pc": ("pc", U_TEXT),
+    "check-range-in": ("check-range", str(GOLDEN / "build.json")),
+    "recover": ("recover", str(GOLDEN / "build.json")),
+    "realize-pc": ("realize-pc", str(GOLDEN / "pc.json")),
+    "fiber-check-yes": ("fiber-check", U_TEXT, "2 7 4 -7 3 5 3 -4 2 6 5 6"),
+    "orbit": ("orbit", U_TEXT),
+    "reduce": ("reduce", U_TEXT),
+    "check-range-out": ("check-range", str(FIXTURES / "theta_empty.json")),
+    "fiber-check-no": ("fiber-check", "2 2", "2 -2"),
+}
+ALL_FORMATS = [("json", "json"), ("dot", "dot"), ("text", "txt")]
+STRING_FORMATS = [("json", "json"), ("text", "txt")]
+
+
+def golden_cases(*cases):
+    return [
+        (case, fmt, ext)
+        for case in cases
+        for fmt, ext in (ALL_FORMATS if case in ("build", "extend", "pc") else STRING_FORMATS)
+    ]
+
+
 class TestGolden:
     # exact stdout, pinned in tests/fixtures/golden; the string has 12
     # positions, so I10 must follow I9' in every format
-    @pytest.mark.parametrize("fmt,ext", [("json", "json"), ("dot", "dot"), ("text", "txt")])
-    @pytest.mark.parametrize("command", ["build", "extend"])
+    @pytest.mark.parametrize(
+        "command,fmt,ext",
+        golden_cases(
+            "build", "extend", "pc", "check-range-in", "recover", "realize-pc",
+            "fiber-check-yes", "orbit", "reduce",
+        ),
+    )
     def test_stdout(self, capsys, command, fmt, ext):
-        code, out, err = run(capsys, command, U_TEXT, "--format", fmt)
+        code, out, err = run(capsys, *GOLDEN_ARGV[command], "--format", fmt)
         assert code == 0 and not err
         assert out == (FIXTURES / "golden" / f"{command}.{ext}").read_text()
+
+    @pytest.mark.parametrize("command,fmt,ext", golden_cases("check-range-out", "fiber-check-no"))
+    def test_negative_decision_stdout(self, capsys, command, fmt, ext):
+        code, out, err = run(capsys, *GOLDEN_ARGV[command], "--format", fmt)
+        assert (code, err) == (2, "")
+        assert out == (GOLDEN / f"{command}.{ext}").read_text()
+
+    # exact stderr and exit status of each error kind the CLI can reach
+    @pytest.mark.parametrize(
+        "argv,status,stderr",
+        [
+            (("build", "two two"), 1, {"error": "parse", "message": "bad token 'two'"}),
+            (
+                ("build", "2 2 3"),
+                1,
+                {"error": "legality", "message": "symbols not occurring exactly twice: [3]"},
+            ),
+            (
+                ("check-range", str(GOLDEN / "pc.json")),
+                1,
+                {
+                    "error": "invalid-graph",
+                    "message": "graph data rejected",
+                    "diagnostics": [
+                        "missing key 'vertices'",
+                        "missing key 'reality'",
+                        "missing key 'desire'",
+                    ],
+                },
+            ),
+            (
+                ("recover", str(FIXTURES / "theta_empty.json")),
+                2,
+                {
+                    "error": "out-of-range",
+                    "message": "graph is not isomorphic to any reduction graph",
+                },
+            ),
+            (
+                ("orbit", U_TEXT, "--max", "1"),
+                2,
+                {"error": "budget-exceeded", "message": "orbit exceeds 1 members"},
+            ),
+            (
+                ("build",),
+                1,
+                {"error": "usage", "message": "the following arguments are required: string"},
+            ),
+        ],
+        ids=["parse", "legality", "invalid-graph", "out-of-range", "budget-exceeded", "usage"],
+    )
+    def test_error(self, capsys, argv, status, stderr):
+        assert run(capsys, *argv) == (status, "", json.dumps(stderr) + "\n")
 
 
 class TestPc:

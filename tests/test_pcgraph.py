@@ -9,6 +9,7 @@ import pytest
 
 from redukt import (
     InvalidGraphError,
+    PointerComponentGraph,
     bridge_set,
     build_reduction_graph,
     is_connected,
@@ -199,6 +200,31 @@ class TestSpanningTree:
             ends = {p: m.endpoints[p] for p in tree}
             restricted = m.__class__(nodes=m.nodes, endpoints=ends)
             assert is_connected(restricted)
+
+    def test_connectivity_on_random_multigraphs(self):
+        # built directly, so isolated nodes and the empty multigraph occur;
+        # checked against a breadth-first search over the edges
+        rng = random.Random(13)
+        for _ in range(300):
+            nodes = [f"N{i}" for i in range(rng.randrange(6))]
+            count = rng.randrange(7) if nodes else 0
+            endpoints = {p: frozenset(rng.choices(nodes, k=2)) for p in range(2, 2 + count)}
+            m = PointerComponentGraph(nodes=frozenset(nodes), endpoints=endpoints)
+            seen, frontier = set(nodes[:1]), nodes[:1]
+            while frontier:
+                n = frontier.pop()
+                for ends in endpoints.values():
+                    if n in ends:
+                        frontier += ends - seen
+                        seen |= ends
+            assert is_connected(m) == (len(seen) == len(nodes))
+            if not nodes:  # connected, but has no spanning tree
+                continue
+            if is_connected(m):
+                assert len(spanning_tree_pointers(m)) == len(nodes) - 1
+            else:
+                with pytest.raises(ValueError, match="disconnected"):
+                    spanning_tree_pointers(m)
 
 
 class TestSerialization:
