@@ -6,92 +6,10 @@ a prescribed pointer-component graph, and decide or enumerate the fiber
 of strings sharing a reduction graph.
 """
 
-from .flips import (
-    OutOfRangeError,
-    find_theta,
-    flip,
-    flip_set,
-    is_merge_legal,
-    is_reduction_graph,
-    is_theta,
-    realize_pc,
-    recover_legal_string,
-    some_merge_legal,
-)
-from .pcgraph import (
-    PointerComponentGraph,
-    bridge_set,
-    is_connected,
-    is_well_coloured,
-    merge_rule,
-    pc_from_json,
-    pc_to_dot,
-    pc_to_json,
-    pointer_component_graph,
-    spanning_tree_pointers,
-)
-from .redgraph import (
-    ARG,
-    CanonicalForm,
-    ColouredBase,
-    ExtendedARG,
-    InvalidGraphError,
-    arg_diagnostics,
-    arg_to_json,
-    are_isomorphic,
-    are_isomorphic_extended,
-    build_extended_reduction_graph,
-    build_reduction_graph,
-    canonical_form,
-    components,
-    desire_partition,
-    dom,
-    extended_canonical_form,
-    extended_from_json,
-    extended_to_json,
-    legalization_representative,
-    pointer_sign,
-    st_path,
-    validate_arg,
-)
-from .rules import (
-    DualRule,
-    NotApplicableError,
-    OrbitLimitError,
-    RuleSequence,
-    StringRule,
-    applicable_dual_rules,
-    apply_dsdr,
-    apply_dspr,
-    apply_rule,
-    apply_sdr,
-    apply_sequence,
-    apply_snr,
-    apply_spr,
-    dual_equivalent,
-    format_rule_sequence,
-    orbit,
-    parse_rule,
-    parse_rule_sequence,
-    successful_reduction_search,
-)
-from .strings import (
-    EMPTY,
-    LegalString,
-    LegalityError,
-    ParseError,
-    Pointer,
-    canonical_equiv_rep,
-    domain,
-    equivalent,
-    format_legal_string,
-    inverse,
-    is_positive,
-    legal_string,
-    overlap,
-    p_interval,
-    parse_legal_string,
-    positive_symbols,
-)
+from .flips import *
+from .pcgraph import *
+from .redgraph import *
+from .rules import *
+from .strings import *
 
 __version__ = "0.1.0"

@@ -168,7 +168,7 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
     """A legal string whose reduction graph has the given
     pointer-component graph, up to multigraph isomorphism.
 
-    Every connected multigraph with distinct symbol edges is realizable.
+    Every nonempty connected multigraph with distinct symbol edges is realizable.
     Each node becomes one component: its incident symbols (loops twice)
     are laid out as desire edges on an alternating cycle, except the
     linear node, which hosts the s-t path.  linear_node defaults to the
@@ -177,6 +177,8 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
     if not isinstance(m, PointerComponentGraph):
         m = pc_from_json(m)
     if linear_node is None:
+        if not m.nodes:
+            raise OutOfRangeError("the empty multigraph is no pointer-component graph")
         linear_node = min(m.nodes)
     if linear_node not in m.nodes:
         raise InvalidGraphError([f"unknown node {linear_node!r}"])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .redgraph import ARG, InvalidGraphError, _decompose
+from .strings import _is_symbol
 
 
 @dataclass(frozen=True, eq=True)
@@ -69,13 +70,15 @@ def merge_rule(m: PointerComponentGraph, p: int) -> PointerComponentGraph:
     """Fuse the two endpoint nodes of bridge p; p stays as a loop.
 
     The fused node gets the deterministic fresh id "m:<a>+<b>" from the
-    sorted ids of the fused nodes, so merge sequences are reproducible.
+    sorted ids of the fused nodes, primed until no node has it.
     """
     ends = m.endpoints.get(p)
     if ends is None or len(ends) != 2:
         raise ValueError(f"symbol {p} is not a bridge")
     a, b = sorted(ends)
     fused = f"m:{a}+{b}"
+    while fused in m.nodes:
+        fused += "'"
 
     def rename(n: str) -> str:
         return fused if n in ends else n
@@ -181,7 +184,7 @@ def pc_from_json(data) -> PointerComponentGraph:
         if not isinstance(entry, Mapping) or "label" not in entry or "ends" not in entry:
             raise InvalidGraphError([f"bad edge entry {entry!r}"])
         p = entry["label"]
-        if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        if not _is_symbol(p):
             raise InvalidGraphError([f"bad edge label {p!r}"])
         if p in endpoints:
             raise InvalidGraphError([f"duplicate edge label {p}"])

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping
 
-from .strings import LegalString, Pointer
+from .strings import LegalString, Pointer, _is_symbol
 
 Edge = frozenset  # frozenset[str] with exactly two vertex ids
 
@@ -111,11 +111,13 @@ class ARG:
     # dataclass fields, so ==, hash and repr ignore the cache
     @cached_property
     def _index(self) -> _Index:
-        return _Index(self)
+        return _Index(self.base, self.reality, self.desire)
 
 
 class _Index:
-    """Integer view of an ARG, built on first use and cached on it.
+    """Integer view of an ARG, built on first use and cached on it, or by
+    validate_arg from the edge lists it read, so that an edge listed
+    twice fails the matching check.
 
     Vertices are numbered in the natural order of their ids: vertex i
     has id ids[i] (num is the inverse) and label label[i], 0 on s and t.
@@ -128,22 +130,22 @@ class _Index:
 
     __slots__ = ("ids", "num", "label", "reality", "desire", "quads", "s")
 
-    def __init__(self, g: ARG):
-        self.ids = ids = g.base._order
+    def __init__(self, base: ColouredBase, reality: Collection[Edge], desire: Collection[Edge]):
+        self.ids = ids = base._order
         self.num = num = {v: i for i, v in enumerate(ids)}
-        self.label = label = [g.label.get(v, 0) for v in ids]
-        self.reality = reality = _partners(num, g.reality)
-        self.desire = desire = _partners(num, g.desire)
-        self.s = num[g.s]
+        self.label = label = [base.label.get(v, 0) for v in ids]
+        self.reality = _partners(num, reality)
+        self.desire = _partners(num, desire)
+        self.s = num[base.s]
         self.quads = quads = {}
-        for v, w in enumerate(desire or ()):
+        for v, w in enumerate(self.desire or ()):
             if v < w and label[v] == label[w]:
                 quads.setdefault(label[v], []).extend((v, w))
         # each labelled vertex, and no other, needs a desire partner in its class of four
-        ok = None not in (reality, desire) and -1 not in reality
-        ok = ok and sum(map(len, quads.values())) == len(g.label)
+        ok = None not in (self.reality, self.desire) and -1 not in self.reality
+        ok = ok and sum(map(len, quads.values())) == len(base.label)
         if not ok or any(len(q) != 4 or not _is_symbol(p) for p, q in quads.items()):
-            raise InvalidGraphError(_shape_problems(g.vertices, g.label, g.reality, g.desire))
+            raise InvalidGraphError(_shape_problems(base.vertices, base.label, reality, desire))
 
 
 def _partners(num: Mapping[str, int], edges: Iterable[Edge]) -> list[int] | None:
@@ -402,10 +404,6 @@ def _read_graph(data) -> tuple[list[str], tuple | None]:
     return problems, (ids, label, reality, desire)
 
 
-def _is_symbol(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 2
-
-
 def _shape_problems(vertices, label, reality, desire) -> list[str]:
     """Every violated shape condition of a graph whose unlabelled
     vertices are exactly its two endpoints.  Only the vertices and edges
@@ -466,13 +464,8 @@ def validate_arg(data) -> ARG:
     ids, label, reality, desire = parsed
     base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=label)
     g = ARG(base=base, reality=frozenset(reality), desire=frozenset(desire))
-    if len(g.reality) == len(reality) and len(g.desire) == len(desire):  # no edge listed twice
-        try:
-            g._index  # checks the shape
-            return g
-        except InvalidGraphError:
-            pass
-    raise InvalidGraphError(_shape_problems(*parsed))
+    g.__dict__["_index"] = _Index(base, reality, desire)  # an edge listed twice fails its check
+    return g
 
 
 def extended_from_json(data) -> ExtendedARG:

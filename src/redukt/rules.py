@@ -37,10 +37,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce as _fold
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .redgraph import build_reduction_graph, canonical_form
-from .strings import LegalString, _from_word, _occurrences, _scan, is_positive, overlap
+from .strings import LegalString, _from_word, _is_symbol, _occurrences, _scan
 
 
 class NotApplicableError(ValueError):
@@ -53,21 +53,20 @@ class OrbitLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Rule:
-    """A rule instance: its kind and the distinct symbols it names."""
+    """A rule instance: its kind, a key of _KINDS, and the distinct symbols it names."""
 
     kind: str
     pointers: tuple[int, ...]
-    _KINDS = {}  # kind -> number of symbols, set by each subclass
 
     def __post_init__(self) -> None:
-        kind, pointers, size = self.kind, self.pointers, self._KINDS.get(self.kind)
-        if size is None:
+        kind, pointers, row = self.kind, self.pointers, _KINDS.get(self.kind)
+        if row is None or not isinstance(self, row.cls):
             raise ValueError(f"unknown rule kind {kind!r}")
-        if len(pointers) != size:
-            raise ValueError(f"{kind} takes {size} pointer(s), got {pointers!r}")
+        if len(pointers) != row.arity:
+            raise ValueError(f"{kind} takes {row.arity} pointer(s), got {pointers!r}")
         if len(set(pointers)) != len(pointers):
             raise ValueError(f"{kind} needs distinct pointers")
-        if any(not isinstance(p, int) or isinstance(p, bool) or p < 2 for p in pointers):
+        if not all(map(_is_symbol, pointers)):
             raise ValueError(f"bad pointers {pointers!r}")
 
     @property
@@ -82,14 +81,10 @@ class _Rule:
 class StringRule(_Rule):
     """A reducing rule instance: snr(p), spr(p) or sdr(p,q)."""
 
-    _KINDS = {"snr": 1, "spr": 1, "sdr": 2}
-
 
 @dataclass(frozen=True)
 class DualRule(_Rule):
     """A non-deleting rule instance: dspr(p) or dsdr(p,q)."""
-
-    _KINDS = {"dspr": 1, "dsdr": 2}
 
 
 @dataclass(frozen=True)
@@ -118,38 +113,20 @@ class RuleSequence:
         return " ".join(str(r) for r in self.rules)
 
 
-_RULE_RE = re.compile(r"(snr|spr|sdr|dspr|dsdr)\((\d+)(?:,(\d+))?\)\Z")
+class _Kind(NamedTuple):
+    """A rule kind: the class and number of its symbols; its kernel, which
+    maps a word (letters as signed ints, -p for a barred p) and the 0-based
+    positions of the symbols, (i, j) for p or (i1, j1, i2, j2) with p at
+    i1, i2 and q at j1, j2, i1 < j1 < i2 < j2, to the image word; its
+    condition on the word at those positions, where p is negative when
+    w[i] == w[j] and positive when w[i] == -w[j]; and the message,
+    formatted with the symbols, when the condition fails."""
 
-
-def parse_rule(text: str) -> StringRule | DualRule:
-    m = _RULE_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"bad rule text {text!r}")
-    kind = m.group(1)
-    pointers = tuple(int(g) for g in m.groups()[1:] if g is not None)
-    cls = StringRule if kind in StringRule._KINDS else DualRule
-    return cls(kind=kind, pointers=pointers)
-
-
-def format_rule_sequence(rules: Iterable[StringRule | DualRule]) -> str:
-    return " ".join(str(r) for r in rules)
-
-
-def parse_rule_sequence(text: str) -> RuleSequence:
-    return RuleSequence(tuple(parse_rule(tok) for tok in text.split()))
-
-
-def _positions(u: LegalString, p: int) -> tuple[int, int]:
-    try:
-        return _occurrences(u, p)
-    except ValueError as exc:
-        raise NotApplicableError(str(exc)) from exc
-
-
-# The rule kernels: each takes a word (letters as signed ints, -p for a
-# barred p) and the 0-based positions of its pointers, (i, j) for p, or
-# (i1, j1, i2, j2) with p at i1, i2 and q at j1, j2, i1 < j1 < i2 < j2,
-# and returns the image word.  Applicability is the caller's to check.
+    cls: type
+    arity: int
+    kernel: Callable[..., tuple[int, ...]]
+    holds: Callable[..., bool]
+    reason: str
 
 
 def _inv(segment: tuple[int, ...]) -> tuple[int, ...]:
@@ -176,66 +153,88 @@ def _dsdr(w, i1, j1, i2, j2):
     return w[: i1 + 1] + w[i2 + 1 : j2] + w[j1 : i2 + 1] + w[i1 + 1 : j1] + w[j2:]
 
 
-_KERNELS = dict(snr=_snr, spr=_spr, sdr=_sdr, dspr=_dspr, dsdr=_dsdr)
+_KINDS = {
+    "snr": _Kind(StringRule, 1, _snr, lambda w, i, j: j == i + 1 and w[i] == w[j],
+                 "snr({0}): occurrences not adjacent and equal-signed"),
+    "spr": _Kind(StringRule, 1, _spr, lambda w, i, j: w[i] != w[j], "spr({0}): {0} is not positive"),
+    "sdr": _Kind(StringRule, 2, _sdr, lambda w, i1, j1, i2, j2: w[i1] == w[i2] and w[j1] == w[j2],
+                 "sdr({0},{1}): both pointers must be negative"),
+    "dspr": _Kind(DualRule, 1, _dspr, lambda w, i, j: w[i] == w[j], "dspr({0}): {0} is not negative"),
+    "dsdr": _Kind(DualRule, 2, _dsdr, lambda w, i1, j1, i2, j2: w[i1] != w[i2] and w[j1] != w[j2],
+                  "dsdr({0},{1}): both pointers must be positive"),
+}
+
+_RULE_RE = re.compile(rf"({'|'.join(_KINDS)})\((\d+)(?:,(\d+))?\)\Z")
+
+
+def parse_rule(text: str) -> StringRule | DualRule:
+    m = _RULE_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"bad rule text {text!r}")
+    kind = m.group(1)
+    pointers = tuple(int(g) for g in m.groups()[1:] if g is not None)
+    return _KINDS[kind].cls(kind=kind, pointers=pointers)
+
+
+def format_rule_sequence(rules: Iterable[StringRule | DualRule]) -> str:
+    return " ".join(str(r) for r in rules)
+
+
+def parse_rule_sequence(text: str) -> RuleSequence:
+    return RuleSequence(tuple(parse_rule(tok) for tok in text.split()))
+
+
+def _apply(kind: str, u: LegalString, *symbols) -> LegalString:
+    """The image of u under the rule kind on the symbols, or NotApplicableError
+    naming the first check that fails: two symbols distinct, each in u's
+    domain, two overlapping, the first named first, the kind's condition."""
+    row = _KINDS[kind]
+    if len(symbols) == 2 and symbols[0] == symbols[1]:
+        raise NotApplicableError("the two pointers must be distinct")
+    try:
+        occ = [_occurrences(u, p) for p in symbols]
+    except ValueError as exc:
+        raise NotApplicableError(str(exc)) from exc
+    positions = occ[0]
+    if len(occ) == 2:
+        (p, q), ((i1, i2), (j1, j2)) = symbols, occ
+        if not (i1 < j1 < i2 < j2 or j1 < i1 < j2 < i2):
+            raise NotApplicableError(f"{p} and {q} do not overlap")
+        if i1 > j1:
+            raise NotApplicableError(f"first occurrence of {p} must precede that of {q}")
+        positions = (i1, j1, i2, j2)
+    if not row.holds(u._word, *positions):
+        raise NotApplicableError(row.reason.format(*symbols))
+    return _from_word(row.kernel(u._word, *positions))
 
 
 def apply_snr(u: LegalString, p: int) -> LegalString:
     """Delete an adjacent equal-signed pair p p (or both barred)."""
-    i, j = _positions(u, p)
-    if j != i + 1 or u.letters[i] != u.letters[j]:
-        raise NotApplicableError(f"snr({p}): occurrences not adjacent and equal-signed")
-    return _from_word(_snr(u._word, i, j))
+    return _apply("snr", u, p)
 
 
 def apply_spr(u: LegalString, p: int) -> LegalString:
     """Delete a positive pair, inverting the letters in between."""
-    i, j = _positions(u, p)
-    if u.letters[i].barred == u.letters[j].barred:
-        raise NotApplicableError(f"spr({p}): {p} is not positive")
-    return _from_word(_spr(u._word, i, j))
-
-
-def _double_positions(u: LegalString, p: int, q: int) -> tuple[int, int, int, int]:
-    # i1 < j1 < i2 < j2 with p at i1,i2 and q at j1,j2
-    if p == q:
-        raise NotApplicableError("the two pointers must be distinct")
-    (i1, i2), (j1, j2) = _positions(u, p), _positions(u, q)
-    if not overlap(u, p, q):
-        raise NotApplicableError(f"{p} and {q} do not overlap")
-    if i1 > j1:
-        raise NotApplicableError(f"first occurrence of {p} must precede that of {q}")
-    return i1, j1, i2, j2
+    return _apply("spr", u, p)
 
 
 def apply_sdr(u: LegalString, p: int, q: int) -> LegalString:
     """Delete two overlapping negative pairs, exchanging two segments."""
-    i1, j1, i2, j2 = _double_positions(u, p, q)
-    if is_positive(u, p) or is_positive(u, q):
-        raise NotApplicableError(f"sdr({p},{q}): both pointers must be negative")
-    return _from_word(_sdr(u._word, i1, j1, i2, j2))
+    return _apply("sdr", u, p, q)
 
 
 def apply_dspr(u: LegalString, p: int) -> LegalString:
     """Invert the letters between a negative pair, keeping the pair."""
-    i, j = _positions(u, p)
-    if u.letters[i].barred != u.letters[j].barred:
-        raise NotApplicableError(f"dspr({p}): {p} is not negative")
-    return _from_word(_dspr(u._word, i, j))
+    return _apply("dspr", u, p)
 
 
 def apply_dsdr(u: LegalString, p: int, q: int) -> LegalString:
     """Exchange the segments between two overlapping positive pairs."""
-    i1, j1, i2, j2 = _double_positions(u, p, q)
-    if not (is_positive(u, p) and is_positive(u, q)):
-        raise NotApplicableError(f"dsdr({p},{q}): both pointers must be positive")
-    return _from_word(_dsdr(u._word, i1, j1, i2, j2))
-
-
-_APPLY = dict(snr=apply_snr, spr=apply_spr, sdr=apply_sdr, dspr=apply_dspr, dsdr=apply_dsdr)
+    return _apply("dsdr", u, p, q)
 
 
 def apply_rule(u: LegalString, rule: StringRule | DualRule) -> LegalString:
-    return _APPLY[rule.kind](u, *rule.pointers)
+    return _apply(rule.kind, u, *rule.pointers)
 
 
 def apply_sequence(u: LegalString, rules: Iterable[StringRule | DualRule]) -> LegalString:
@@ -317,7 +316,7 @@ def successful_reduction_search(u: LegalString) -> RuleSequence:
     while w:
         kind, symbols, positions = _next_reduction_site(w, occ)
         out.append(StringRule(kind, symbols))
-        w, occ = _scan(_KERNELS[kind](w, *positions))
+        w, occ = _scan(_KINDS[kind].kernel(w, *positions))
     return RuleSequence(tuple(out))
 
 
@@ -364,7 +363,7 @@ def orbit(u: LegalString, max_size: int = 10000) -> frozenset[LegalString]:
     while queue:
         w, occ = queue.popleft()
         for kind, _, positions in _dual_sites(w, occ):
-            image = _scan(_KERNELS[kind](w, *positions))
+            image = _scan(_KINDS[kind].kernel(w, *positions))
             if image[0] not in seen:
                 if len(seen) >= max_size:
                     raise OrbitLimitError(f"orbit exceeds {max_size} members")

@@ -36,6 +36,11 @@ class LegalityError(ValueError):
     """Some symbol does not occur exactly twice."""
 
 
+def _is_symbol(value) -> bool:
+    """Whether value is a pointer symbol: an int >= 2 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 2
+
+
 @dataclass(frozen=True, order=True)
 class Pointer:
     """One letter of a legal string: an unbarred symbol plus a bar flag."""
@@ -44,7 +49,7 @@ class Pointer:
     barred: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.symbol, int) or isinstance(self.symbol, bool) or self.symbol < 2:
+        if not _is_symbol(self.symbol):
             raise ParseError(f"pointer symbol must be an integer >= 2, got {self.symbol!r}")
 
     def bar(self) -> "Pointer":
@@ -230,3 +235,23 @@ def canonical_equiv_rep(u: LegalString) -> LegalString:
     """
     word = _scan(u._word)[0]
     return u if word == u._word else _from_word(word)
+
+
+__all__ = [
+    "EMPTY",
+    "LegalString",
+    "LegalityError",
+    "ParseError",
+    "Pointer",
+    "canonical_equiv_rep",
+    "domain",
+    "equivalent",
+    "format_legal_string",
+    "inverse",
+    "is_positive",
+    "legal_string",
+    "overlap",
+    "p_interval",
+    "parse_legal_string",
+    "positive_symbols",
+]

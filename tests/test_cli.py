@@ -437,6 +437,15 @@ class TestRealizePc:
         assert code == 2
         assert error_payload(err)["error"] == "out-of-range"
 
+    def test_empty_multigraph(self, capsys, graph_file):
+        path = graph_file("m.json", {"nodes": [], "edges": []})
+        code, out, err = run(capsys, "realize-pc", path)
+        assert (code, out) == (2, "")
+        assert error_payload(err)["error"] == "out-of-range"
+        code, out, err = run(capsys, "realize-pc", path, "--linear", "A")
+        assert (code, out) == (1, "")
+        assert error_payload(err)["error"] == "invalid-graph"
+
 
 class TestReduce:
     def test_json(self, capsys):

@@ -414,6 +414,12 @@ class TestRealize:
         with pytest.raises(InvalidGraphError):
             realize_pc({"nodes": ["A", "A"], "edges": []})
 
+    def test_empty_multigraph(self):
+        with pytest.raises(OutOfRangeError, match="the empty multigraph is no pointer-component graph"):
+            realize_pc({"nodes": [], "edges": []})
+        with pytest.raises(InvalidGraphError, match="unknown node 'A'"):
+            realize_pc({"nodes": [], "edges": []}, linear_node="A")
+
     def test_random_multigraphs(self):
         rng = random.Random(27)
         for _ in range(40):

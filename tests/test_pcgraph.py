@@ -115,6 +115,18 @@ class TestMergeRule:
         assert merged.endpoints[5] == frozenset({"m:r1c3+r2c9", "r1c1"})
         assert merged.endpoints[2] == frozenset({"r1c1", "r3c1"})
 
+    def test_fused_id_is_fresh(self):
+        # an existing node may carry the fused id already; it stays its own node
+        m = pc_from_json(
+            {
+                "nodes": ["a", "b", "m:a+b", "c"],
+                "edges": [{"label": 2, "ends": ["a", "b"]}, {"label": 3, "ends": ["m:a+b", "c"]}],
+            }
+        )
+        merged = merge_rule(m, 2)
+        assert merged.nodes == frozenset({"m:a+b'", "m:a+b", "c"})
+        assert merged.endpoints == {2: frozenset({"m:a+b'"}), 3: frozenset({"m:a+b", "c"})}
+
     def test_decrements_node_count(self):
         m = pc_of(U)
         for p in bridge_set(m):

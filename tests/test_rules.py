@@ -207,6 +207,44 @@ class TestDualRules:
             ordered = (p, q) if i < j else (q, p)
             assert (DualRule("dsdr", ordered) in listed) == expected
 
+    @pytest.mark.parametrize(
+        "fn,text,symbols,message",
+        [
+            (apply_snr, "2 2", (3,), "symbol 3 not in domain"),
+            (apply_snr, "2 3 2 3", (2,), "snr(2): occurrences not adjacent and equal-signed"),
+            (apply_snr, "2 -2", (2,), "snr(2): occurrences not adjacent and equal-signed"),
+            (apply_spr, "2 -2", (5,), "symbol 5 not in domain"),
+            (apply_spr, "2 3 2 3", (3,), "spr(3): 3 is not positive"),
+            (apply_dspr, "2 2", (3,), "symbol 3 not in domain"),
+            (apply_dspr, "2 3 -2 3", (2,), "dspr(2): 2 is not negative"),
+            (apply_sdr, "2 3 2 3", (2, 2), "the two pointers must be distinct"),
+            (apply_sdr, "2 3 2 3", (4, 3), "symbol 4 not in domain"),
+            (apply_sdr, "2 3 2 3", (2, 4), "symbol 4 not in domain"),
+            (apply_sdr, "2 2 3 3", (2, 3), "2 and 3 do not overlap"),
+            (apply_sdr, "2 4 3 2 3 4", (3, 2), "first occurrence of 3 must precede that of 2"),
+            (apply_sdr, "2 3 -2 3", (2, 3), "sdr(2,3): both pointers must be negative"),
+            (apply_sdr, "2 3 2 -3", (2, 3), "sdr(2,3): both pointers must be negative"),
+            (apply_dsdr, "2 -3 -2 3", (3, 3), "the two pointers must be distinct"),
+            (apply_dsdr, "2 -3 -2 3", (5, 3), "symbol 5 not in domain"),
+            (apply_dsdr, "2 -3 -2 3", (2, 5), "symbol 5 not in domain"),
+            (apply_dsdr, "2 -2 3 -3", (2, 3), "2 and 3 do not overlap"),
+            (apply_dsdr, "2 -3 -2 3", (3, 2), "first occurrence of 3 must precede that of 2"),
+            (apply_dsdr, "2 3 2 -3", (2, 3), "dsdr(2,3): both pointers must be positive"),
+            (apply_dsdr, "2 3 -2 3", (2, 3), "dsdr(2,3): both pointers must be positive"),
+        ],
+    )
+    def test_not_applicable_messages(self, fn, text, symbols, message):
+        # every reason of every rule, by exact message, through apply_rule too
+        # where the symbols make a rule
+        with pytest.raises(NotApplicableError) as info:
+            fn(P(text), *symbols)
+        assert str(info.value) == message
+        if len(set(symbols)) == len(symbols):
+            kind = fn.__name__.removeprefix("apply_")
+            with pytest.raises(NotApplicableError) as info:
+                apply_rule(P(text), parse_rule(f"{kind}({','.join(map(str, symbols))})"))
+            assert str(info.value) == message
+
     def test_image_extension_is_flipped_extension(self):
         rng = random.Random(31)
         for _ in range(60):
