@@ -31,15 +31,14 @@ from .redgraph import (
     ExtendedARG,
     InvalidGraphError,
     _merge_partners,
-    _pair,
-    _positional_base,
+    _positional,
     _walk,
     desire_partition,
     dom,
     legalization_representative,
     validate_arg,
 )
-from .strings import LegalString
+from .strings import LegalString, _is_symbol
 
 MergeLegalSet = frozenset  # frozenset[Edge]
 FlipSet = frozenset  # frozenset[int]
@@ -70,8 +69,8 @@ def some_merge_legal(g: ARG) -> frozenset:
     out: set[Edge] = set()
     for a, b, c, d in g._index.quads.values():
         # a is the smallest vertex and b its desire partner, c < d
-        out.add(_pair(ids[a], ids[c]))
-        out.add(_pair(ids[b], ids[d]))
+        out.add(frozenset((ids[a], ids[c])))
+        out.add(frozenset((ids[b], ids[d])))
     return frozenset(out)
 
 
@@ -88,7 +87,7 @@ def is_theta(g: ARG, e: Iterable[Edge]) -> bool:
 def _symbol_edges(g: ARG, edges: frozenset, p: int) -> tuple[frozenset, frozenset, frozenset]:
     """p's edges in edges, and p's two matchings that avoid the desire edges."""
     (a, b), (c, d) = desire_partition(g, p)
-    pairs = (_pair(a, c), _pair(b, d), _pair(a, d), _pair(b, c), _pair(a, b), _pair(c, d))
+    pairs = tuple(map(frozenset, ((a, c), (b, d), (a, d), (b, c), (a, b), (c, d))))
     own = frozenset(x for x in pairs if x in edges)
     return own, frozenset(pairs[:2]), frozenset(pairs[2:4])
 
@@ -113,7 +112,7 @@ def flip_set(g: ARG, e: Iterable[Edge], d: Iterable[int]) -> frozenset:
     linear in |e| + |d|.
     """
     symbols = frozenset(d)
-    if not symbols <= dom(g):
+    if not (all(map(_is_symbol, symbols)) and symbols <= dom(g)):
         raise ValueError("flip set is not a subset of the domain")
     edges = frozenset(frozenset(x) for x in e)
     own = {p: _symbol_edges(g, edges, p)[0] for p in sorted(symbols)}
@@ -185,8 +184,8 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
     if not is_connected(m):
         raise OutOfRangeError("a disconnected multigraph is no pointer-component graph")
 
-    # slots in sorted node order; slot j becomes the desire edge Ij-Ij',
-    # ids whose natural order is known without sorting
+    # slots in sorted node order; slot j (from 0) is the vertex pair 2j,
+    # 2j+1, that is Ij+1 and Ij+1', joined by a desire edge
     slots: dict[str, list[int]] = {n: [] for n in sorted(m.nodes)}
     for p in sorted(m.endpoints):
         ends = sorted(m.endpoints[p])
@@ -196,26 +195,15 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
             slots[ends[0]].append(p)
             slots[ends[1]].append(p)
 
-    base, all_heads, all_tails = _positional_base([p for ps in slots.values() for p in ps])
-    reality: set[Edge] = set()
-    done = 0
-    for node, symbols in slots.items():
-        k = len(symbols)
-        heads, tails = all_heads[done : done + k], all_tails[done : done + k]
-        done += k
-        if node == linear_node:
-            if k == 0:
-                reality.add(frozenset({"s", "t"}))
-            else:
-                reality.add(frozenset({"s", heads[0]}))
-                reality.add(frozenset({tails[-1], "t"}))
-                reality.update(frozenset({tails[i], heads[i + 1]}) for i in range(k - 1))
-        else:
-            # connectivity guarantees k >= 1 here, so the cycle is real
-            reality.update(frozenset({tails[i], heads[(i + 1) % k]}) for i in range(k))
-
-    desire = frozenset(map(_pair, all_heads, all_tails))
-    return recover_legal_string(ARG(base=base, reality=frozenset(reality), desire=desire))
+    # the linear node chains its slots from s to t; every other node closes
+    # its slots into a cycle, and connectivity gives it at least one
+    symbols = [p for ps in slots.values() for p in ps]
+    n, done, chains = len(symbols), 0, []
+    for node, ps in slots.items():
+        vs = list(range(done, done + 2 * len(ps)))
+        done += 2 * len(ps)
+        chains.append([2 * n, *vs, 2 * n + 1] if node == linear_node else vs[1:] + vs[:1])
+    return recover_legal_string(_positional(symbols, chains, [v ^ 1 for v in range(2 * n)]))
 
 
 __all__ = [

@@ -9,6 +9,11 @@ symbol contribute {Ii',Ij} and {Ii,Ij'} when the occurrences are barred
 alike, and {Ii,Ij} and {Ii',Ij'} when they are barred oppositely.  Every
 vertex of position i is labelled with the unbarred symbol at i.
 
+The builders number these vertices positionally: Ii is 2i-2 and Ii' is
+2i-1, then s is 2n and t is 2n+1, which is also the natural order of the
+ids.  So the reality edges pair the chain s, 0, 1, ..., 2n-1, t two by
+two, and the generic merge edges {Ii, Ii'} pair each v < 2n with v^1.
+
 An abstract reduction graph is any graph of this shape: every label has
 exactly four vertices, the reality edges form a perfect matching of all
 vertices including s and t, and the desire edges cover every labelled
@@ -282,52 +287,36 @@ def _id_key(v: str):
     return (*((1, int(p)) if p.isdecimal() else (0, p) for p in parts), (-1, v))
 
 
-def _pair(a: str, b: str) -> Edge:
-    return frozenset((a, b))
-
-
-def _positional_base(symbols: list[int]) -> tuple[ColouredBase, list[str], list[str]]:
-    """Vertices I1, I1', ..., In, In' labelled by the n symbols, plus s
-    and t, with the lists of the Ii and of the Ii'.  I1 < I1' < I2 < ...
-    < In' < s < t is their natural order, so it is set, not sorted for."""
-    left = [f"I{i}" for i in range(1, len(symbols) + 1)]
-    right = [f"{v}'" for v in left]
-    order = [v for pair in zip(left, right) for v in pair]
-    label = dict(zip(order, (p for p in symbols for _ in "ab")))
-    base = ColouredBase(vertices=frozenset(order) | {"s", "t"}, s="s", t="t", label=label)
-    base.__dict__["_order"] = order + ["s", "t"]
-    return base, left, right
+def _positional(symbols: list[int], chains: Iterable[list[int]], desire: list[int]) -> ARG:
+    """The graph on I1, I1', ..., In, In', s, t for the n symbols, numbered
+    0 ... 2n+1 as in the module docstring.  Reality edges join each chain
+    two by two; desire is the partner array of vertices 0 ... 2n-1."""
+    ids = [v for i in range(1, len(symbols) + 1) for v in (f"I{i}", f"I{i}'")] + ["s", "t"]
+    reality = [-1] * len(ids)
+    for chain in chains:
+        for v, w in zip(chain[::2], chain[1::2]):
+            reality[v], reality[w] = w, v
+    label = dict(zip(ids, (p for p in symbols for _ in "ab")))
+    base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=label)
+    base.__dict__["_order"] = ids  # already the natural order: not sorted for
+    return ARG(base=base, reality=_edge_set(ids, reality), desire=_edge_set(ids, desire))
 
 
 def build_reduction_graph(u: LegalString) -> ARG:
     """Construct the reduction graph of a legal string."""
-    n = len(u)
-    base, left, right = _positional_base([x.symbol for x in u.letters])
-
-    if n == 0:
-        reality = frozenset({_pair("s", "t")})
-    else:
-        edges = [_pair("s", left[0]), _pair(right[-1], "t")]
-        edges += [_pair(right[i], left[i + 1]) for i in range(n - 1)]
-        reality = frozenset(edges)
-
-    desire = set()
+    n, x = len(u), u.letters
+    desire = [-1] * (2 * n)
     for i, j in u._occ.values():
-        if u.letters[i].barred == u.letters[j].barred:
-            desire.add(_pair(right[i], left[j]))
-            desire.add(_pair(left[i], right[j]))
-        else:
-            desire.add(_pair(left[i], left[j]))
-            desire.add(_pair(right[i], right[j]))
-
-    return ARG(base=base, reality=reality, desire=frozenset(desire))
+        # barred alike: Ii'-Ij and Ii-Ij'; barred oppositely: Ii-Ij and Ii'-Ij'
+        a, b = (2 * i + 1, 2 * i) if x[i].barred == x[j].barred else (2 * i, 2 * i + 1)
+        desire[a], desire[2 * j], desire[b], desire[2 * j + 1] = 2 * j, a, 2 * j + 1, b
+    return _positional([y.symbol for y in x], [[2 * n, *range(2 * n), 2 * n + 1]], desire)
 
 
 def build_extended_reduction_graph(u: LegalString) -> ExtendedARG:
     """The reduction graph of u plus the generic merge edges {Ii, Ii'}."""
     g = build_reduction_graph(u)
-    merge = frozenset(_pair(f"I{i}", f"I{i}'") for i in range(1, len(u) + 1))
-    return ExtendedARG(arg=g, merge=merge)
+    return ExtendedARG(arg=g, merge=_edge_set(g.base._order, [v ^ 1 for v in range(2 * len(u))]))
 
 
 def arg_diagnostics(data) -> list[str]:
@@ -394,7 +383,7 @@ def _read_graph(data) -> tuple[list[str], tuple | None]:
             if a == b:
                 problems.append(f"{key} edge {raw!r} is a loop")
                 continue
-            out.append(_pair(a, b))
+            out.append(frozenset(raw))
         return out
 
     reality = read_edges("reality")
@@ -483,7 +472,7 @@ def extended_from_json(data) -> ExtendedARG:
             or not set(raw) <= g.vertices
         ):
             raise InvalidGraphError([f"bad merge edge {raw!r}"])
-        merge.append(_pair(*raw))
+        merge.append(frozenset(raw))
     try:
         return ExtendedARG(arg=g, merge=frozenset(merge))
     except ValueError as exc:
@@ -494,6 +483,11 @@ def _matching(ids: list[str], partner: list[int]) -> list[list[str]]:
     # vertices are numbered in natural id order and each lies on at most
     # one edge, so listing every edge from its smaller end sorts the edges
     return [[ids[v], ids[w]] for v, w in enumerate(partner) if v < w]
+
+
+def _edge_set(ids: list[str], partner: list[int]) -> frozenset[Edge]:
+    # _matching's edges as an ARG field, made from tuples, not its slower lists
+    return frozenset([frozenset((ids[v], ids[w])) for v, w in enumerate(partner) if v < w])
 
 
 def arg_to_json(g: ARG) -> dict:
@@ -511,13 +505,18 @@ def extended_to_json(e: ExtendedARG) -> dict:
     return out
 
 
+def _quad(g: ARG, p: int) -> tuple[int, int, int, int]:
+    # p's four vertices, as _Index.quads lists them; a non-symbol is absent
+    quads = g._index.quads
+    if not (_is_symbol(p) and p in quads):
+        raise ValueError(f"symbol {p} not in the domain of the graph")
+    return quads[p]
+
+
 def desire_partition(g: ARG, p: int) -> frozenset[Edge]:
     """The two desire edges whose endpoints carry label p."""
-    idx = g._index
-    if p not in idx.quads:
-        raise ValueError(f"symbol {p} not in the domain of the graph")
-    a, b, c, d = (idx.ids[v] for v in idx.quads[p])
-    return frozenset({_pair(a, b), _pair(c, d)})
+    a, b, c, d = (g._index.ids[v] for v in _quad(g, p))
+    return frozenset({frozenset((a, b)), frozenset((c, d))})
 
 
 def components(g: ARG) -> list[frozenset[str]]:
@@ -572,12 +571,9 @@ def pointer_sign(e: ExtendedARG, p: int) -> str:
     their two merge pairs (the parallel configuration along the path),
     positive when they connect equal sides (the crossing one).
     """
-    quads = e.arg._index.quads
-    if p not in quads:
-        raise ValueError(f"symbol {p} not in the domain of the graph")
     # ends an odd distance apart along the path lie on opposite sides
     pos = e._pos
-    a, b, c, d = quads[p]
+    a, b, c, d = _quad(e.arg, p)
     if (pos[a] - pos[b]) % 2 != (pos[c] - pos[d]) % 2:
         raise ValueError(f"desire edges of {p} are inconsistent with the path")
     return NEGATIVE if (pos[a] - pos[b]) % 2 else POSITIVE

@@ -176,11 +176,11 @@ def domain(u: LegalString) -> frozenset[int]:
 
 
 def _occurrences(u: LegalString, p: int) -> tuple[int, int]:
-    # 0-based indices of the two occurrences of symbol p
-    try:
+    # 0-based indices of the two occurrences of symbol p; a non-symbol such
+    # as 2.0 is absent, though it hashes and compares equal to 2
+    if _is_symbol(p) and p in u._occ:
         return u._occ[p]
-    except (KeyError, TypeError):
-        raise ValueError(f"symbol {p} not in domain") from None
+    raise ValueError(f"symbol {p} not in domain")
 
 
 def is_positive(u: LegalString, p: int) -> bool:

@@ -3,11 +3,13 @@
 Everything here recomputes results by brute force and avoids the
 production algorithms: isomorphism by backtracking bijection search,
 merge-legal sets by per-symbol matching enumeration, connectivity by a
-local breadth-first search, occurrences by a letter scan, the five
-rules by their textbook definitions on (symbol, barred) pairs, the
-greedy reduction by enumerating every pair in the documented order, and
-orbits by trying every rule instance on every member.  Tests compare
-library output against these; nothing here imports redukt.rules.
+local breadth-first search, reduction graphs by their textbook edge
+rules, occurrences by a letter scan, the five rules by their textbook
+definitions on (symbol, barred) pairs, the greedy reduction by
+enumerating every pair in the documented order, and orbits by trying
+every rule instance on every member.  Tests compare library output
+against these; nothing here imports redukt.rules or a redukt.redgraph
+builder.
 """
 
 from __future__ import annotations
@@ -146,6 +148,29 @@ def oracle_orbit(u: LegalString) -> frozenset:
         frontier = [v for v in {_resigned(v) for v in images if v is not None} if v not in seen]
         seen.update(frontier)
     return frozenset(LegalString(tuple(Pointer(s, b) for s, b in w)) for w in seen)
+
+
+def oracle_reduction_graph(u: LegalString) -> ARG:
+    """The reduction graph of u by the textbook edge rules, on the ids I1,
+    I1', ..., In, In', s, t: reality edges {s,I1}, {Ii',Ii+1} and {In',t},
+    or {s,t} for the empty string; for occurrences i < j of a symbol,
+    desire edges {Ii',Ij} and {Ii,Ij'} when they are barred alike, else
+    {Ii,Ij} and {Ii',Ij'}; both vertices of position i carry its symbol."""
+    x = u.letters
+    n = len(x)
+    heads = [f"I{i}" for i in range(1, n + 1)]
+    tails = [f"I{i}'" for i in range(1, n + 1)]
+    reality = set(map(frozenset, zip(["s", *tails], [*heads, "t"])))
+    desire = set()
+    for i, j in combinations(range(n), 2):
+        if x[i].symbol == x[j].symbol:
+            if x[i].barred == x[j].barred:
+                desire |= {frozenset({tails[i], heads[j]}), frozenset({heads[i], tails[j]})}
+            else:
+                desire |= {frozenset({heads[i], heads[j]}), frozenset({tails[i], tails[j]})}
+    label = {v: x[i].symbol for i in range(n) for v in (heads[i], tails[i])}
+    base = ColouredBase(vertices=frozenset([*heads, *tails, "s", "t"]), s="s", t="t", label=label)
+    return ARG(base=base, reality=frozenset(reality), desire=frozenset(desire))
 
 
 def _partner_maps(g: ARG):

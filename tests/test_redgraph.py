@@ -55,6 +55,7 @@ from oracles import (
     legal_string_strategy,
     oracle_component_count,
     oracle_isomorphic,
+    oracle_reduction_graph,
     random_arg,
     relabeled,
 )
@@ -73,7 +74,24 @@ def edge(a, b):
     return frozenset({a, b})
 
 
+def check_against_textbook_oracle(u):
+    # the same edges, and the order set without sorting is the natural one
+    g, oracle = build_reduction_graph(u), oracle_reduction_graph(u)
+    assert g == oracle
+    assert arg_to_json(g) == arg_to_json(oracle)
+    merge = {edge(f"I{i}", f"I{i}'") for i in range(1, len(u) + 1)}
+    assert build_extended_reduction_graph(u).merge == merge
+
+
 class TestBuild:
+    @pytest.mark.parametrize("bars", [True, False])
+    @given(data=st.data())
+    def test_agrees_with_textbook_oracle(self, bars, data):
+        check_against_textbook_oracle(data.draw(legal_string_strategy(12, bars=bars)))
+
+    def test_empty_string_agrees_with_textbook_oracle(self):
+        check_against_textbook_oracle(parse_legal_string(""))
+
     def test_example_counts(self):
         g = build_reduction_graph(U)
         assert len(g.vertices) == 26
