@@ -30,10 +30,11 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .flips import OutOfRangeError, is_reduction_graph, realize_pc, recover_legal_string
-from .pcgraph import bridge_set, pc_to_dot, pc_to_json, pointer_component_graph
+from .pcgraph import _dot_str, bridge_set, pc_to_dot, pc_to_json, pointer_component_graph
 from .redgraph import (
     InvalidGraphError,
     arg_to_json,
@@ -80,12 +81,31 @@ def _load_json_file(path: str):
 _DOT_STYLES = {"reality": " [style=bold]", "desire": "", "merge": " [style=dashed]"}
 
 
+def _graph_to_json(data: dict) -> str:
+    # json.dumps(data, indent=2) of an arg_to_json or extended_to_json document, byte
+    # for byte: with indent set, the stdlib encodes in pure Python, several times slower
+    parts = []
+    for key, items in data.items():
+        if key == "vertices":
+            lines = [
+                f'{{\n      "id": {_json_str(v["id"])}'
+                + (f',\n      "label": {v["label"]}' if "label" in v else "")
+                + "\n    }"
+                for v in items
+            ]
+        else:
+            lines = [f"[\n      {_json_str(a)},\n      {_json_str(b)}\n    ]" for a, b in items]
+        body = ",\n    ".join(lines)
+        parts.append(f"  {_json_str(key)}: " + (f"[\n    {body}\n  ]" if lines else "[]"))
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
 def _graph_to_dot(data: dict) -> str:
     lines = ["graph reduction {"]
     for v in data["vertices"]:
-        lines.append(f'  "{v["id"]}" [label="{v.get("label", v["id"])}"];')
+        lines.append(f'  {_dot_str(v["id"])} [label={_dot_str(v.get("label", v["id"]))}];')
     for key, style in _DOT_STYLES.items():
-        lines += [f'  "{a}" -- "{b}"{style};' for a, b in data.get(key, ())]
+        lines += [f"  {_dot_str(a)} -- {_dot_str(b)}{style};" for a, b in data.get(key, ())]
     lines.append("}")
     return "\n".join(lines)
 
@@ -110,9 +130,9 @@ def _range_to_text(doc: dict) -> str:
 
 
 # Each handler returns (exit status, JSON document, renderers): the
-# renderers map every other format the command accepts to a function of
-# the document, and main writes the one chosen
-_GRAPH = {"dot": _graph_to_dot, "text": _graph_to_text}
+# renderers map a format to a function of the document; main writes the
+# chosen one, or json.dumps(doc, indent=2) for a json without a renderer
+_GRAPH = {"json": _graph_to_json, "dot": _graph_to_dot, "text": _graph_to_text}
 _STRING = {"text": lambda doc: doc["string"]}
 _RANGE = {"text": _range_to_text}
 _FIBER = {"text": lambda doc: ("" if doc["dual_equivalent"] else "not ") + "dual-equivalent"}
@@ -245,7 +265,8 @@ def main(argv=None) -> int:
         else:
             _emit_error(kind, str(exc))
         return code
-    print(json.dumps(doc, indent=2) if args.format == "json" else renderers[args.format](doc))
+    render = renderers.get(args.format)
+    print(render(doc) if render else json.dumps(doc, indent=2))
     return code
 
 

@@ -198,16 +198,19 @@ def pc_from_json(data) -> PointerComponentGraph:
     return PointerComponentGraph(nodes=node_set, endpoints=endpoints)
 
 
+def _dot_str(value) -> str:
+    # a DOT quoted string: backslashes first, so the quotes' escapes stay single
+    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def pc_to_dot(m: PointerComponentGraph) -> str:
     """DOT rendering; loops come out as self-edges."""
     lines = ["graph pc {"]
     for n in sorted(m.nodes):
-        lines.append(f'  "{n}";')
+        lines.append(f"  {_dot_str(n)};")
     for p in sorted(m.endpoints):
         ends = sorted(m.endpoints[p])
-        a = ends[0]
-        b = ends[-1]
-        lines.append(f'  "{a}" -- "{b}" [label="{p}"];')
+        lines.append(f"  {_dot_str(ends[0])} -- {_dot_str(ends[-1])} [label={_dot_str(p)}];")
     lines.append("}")
     return "\n".join(lines)
 

@@ -162,7 +162,7 @@ def parse_legal_string(text: str) -> LegalString:
         value = int(body)
         if value < 2:
             raise ParseError(f"bad token {token!r}: symbol must be >= 2")
-        letters.append(Pointer(value, token.startswith("-")))
+        letters.append(_pointer(value, token.startswith("-")))
     return LegalString(tuple(letters))
 
 

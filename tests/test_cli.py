@@ -3,21 +3,31 @@ error JSON convention on stderr."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from redukt import (
+    EMPTY,
     arg_to_json,
+    build_extended_reduction_graph,
     build_reduction_graph,
+    extended_from_json,
+    extended_to_json,
     parse_legal_string,
     pc_to_json,
     pointer_component_graph,
+    validate_arg,
 )
-from redukt.cli import main
+from redukt.cli import _graph_to_dot, _graph_to_json, main
+
+from oracles import legal_string_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 U_TEXT = "2 -7 4 7 3 5 3 -4 2 6 5 6"
@@ -218,6 +228,78 @@ class TestGolden:
         assert run(capsys, *argv) == (status, "", json.dumps(stderr) + "\n")
 
 
+def renamed(doc, names):
+    # the graph document with each vertex id v replaced by names.get(v, v)
+    out = {"vertices": [{**v, "id": names.get(v["id"], v["id"])} for v in doc["vertices"]]}
+    for key in ("reality", "desire", "merge"):
+        if key in doc:
+            out[key] = [[names.get(a, a), names.get(b, b)] for a, b in doc[key]]
+    return out
+
+
+# vertex ids that json.dumps escapes: quotes, backslashes, control
+# characters, non-ASCII letters and lone surrogates, among plain ones
+SPECIAL = ['"', "\\", "\x00", "\x1f", "\n", "\x7f", "\xe9", "\u03a9", "\ud800", "\udfff", "I", "1", "'"]
+JSON_IDS = st.text(st.sampled_from(SPECIAL) | st.characters(), min_size=1).filter(
+    lambda v: v not in ("s", "t")
+)
+
+
+class TestGraphJsonWriter:
+    # --format json of build and extend prints exactly json.dumps(doc, indent=2)
+    @given(legal_string_strategy(), st.data())
+    def test_equals_json_dumps(self, u, data):
+        docs = [arg_to_json(build_reduction_graph(v)) for v in (EMPTY, u)]
+        docs += [extended_to_json(build_extended_reduction_graph(v)) for v in (EMPTY, u)]
+        # the extended graph of u again, its ids drawn, read back through validate_arg
+        old = [v["id"] for v in docs[-1]["vertices"] if v["id"] not in ("s", "t")]
+        new = data.draw(st.lists(JSON_IDS, min_size=len(old), max_size=len(old), unique=True))
+        extended = renamed(docs[-1], dict(zip(old, new)))
+        docs.append(arg_to_json(validate_arg({k: extended[k] for k in ("vertices", "reality", "desire")})))
+        docs.append(extended_to_json(extended_from_json(extended)))
+        for doc in docs:
+            text = _graph_to_json(doc)
+            assert text == json.dumps(doc, indent=2)
+            assert text.isascii()
+
+
+# a DOT quoted string: any character but a quote or backslash, or an escape
+DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def dot_strings(line):
+    return [re.sub(r"\\(.)", r"\1", q[1:-1]) for q in re.findall(DOT_STRING, line)]
+
+
+class TestDotQuoting:
+    # ids holding a quote or a trailing backslash: every statement still
+    # parses, and its quoted strings give back the ids
+    NAMES = {"I1": '"A', "I1'": "c", "I2": "a\\", "I2'": "d"}
+
+    def test_pc(self, capsys, graph_file):
+        doc = renamed(arg_to_json(build_reduction_graph(parse_legal_string("2 2"))), self.NAMES)
+        code, out, err = run(capsys, "pc", graph_file("g.json", doc), "--format", "dot")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()[1:-1]
+        q = DOT_STRING
+        assert all(re.fullmatch(rf"  {q}( -- {q} \[label={q}\])?;", line) for line in lines)
+        assert [dot_strings(line) for line in lines] == [['"A'], ["a\\"], ['"A', "a\\", "2"]]
+
+    def test_graph(self):
+        g = build_extended_reduction_graph(parse_legal_string("2 2"))
+        doc = renamed(extended_to_json(g), self.NAMES)
+        lines = _graph_to_dot(doc).splitlines()[1:-1]
+        q = DOT_STRING
+        style = r"( \[style=(bold|dashed)\])?"
+        assert all(re.fullmatch(rf"  ({q} \[label={q}\]|{q} -- {q}{style});", line) for line in lines)
+        ids = [v["id"] for v in doc["vertices"]]
+        assert [dot_strings(line) for line in lines[:6]] == [
+            [v, str(p)] for v, p in zip(ids, [2, 2, 2, 2, "s", "t"])
+        ]
+        edges = [e for key in ("reality", "desire", "merge") for e in doc[key]]
+        assert [dot_strings(line) for line in lines[6:]] == edges
+
+
 class TestPc:
     def test_from_string(self, capsys):
         code, out, _ = run(capsys, "pc", U_TEXT)
@@ -314,6 +396,32 @@ class TestCheckRange:
         code, _, err = run(capsys, "check-range", str(path))
         assert code == 1
         assert any("bad JSON" in d for d in error_payload(err)["diagnostics"])
+
+
+class TestContainerTypes:
+    # a container of the wrong type is rejected with one error line, no traceback
+    @pytest.mark.parametrize(
+        "command,data,diagnostic",
+        [
+            ("realize-pc", ["A"], "multigraph data must be an object"),
+            (
+                "realize-pc",
+                {"nodes": ["A"], "edges": [{"ends": ["A"]}]},
+                "bad edge entry {'ends': ['A']}",
+            ),
+            ("check-range", {"vertices": 3, "reality": [], "desire": []}, "'vertices' must be a list"),
+            (
+                "check-range",
+                {"vertices": [{"id": "s"}, {"id": "t"}], "reality": 5, "desire": []},
+                "'reality' must be a list of vertex pairs",
+            ),
+        ],
+        ids=["multigraph-not-object", "edge-without-label", "vertices-int", "reality-int"],
+    )
+    def test_exits_1(self, capsys, graph_file, command, data, diagnostic):
+        payload = {"error": "invalid-graph", "message": "graph data rejected"}
+        payload["diagnostics"] = [diagnostic]
+        assert run(capsys, command, graph_file("g.json", data)) == (1, "", json.dumps(payload) + "\n")
 
 
 class TestRecover:

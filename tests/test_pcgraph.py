@@ -270,6 +270,12 @@ class TestSerialization:
         with pytest.raises(InvalidGraphError, match=needle):
             pc_from_json(data)
 
+    @pytest.mark.parametrize("label", ["x", 1, 2.0, True])
+    def test_rejects_bad_edge_label(self, label):
+        with pytest.raises(InvalidGraphError) as info:
+            pc_from_json({"nodes": ["A"], "edges": [{"label": label, "ends": ["A"]}]})
+        assert info.value.diagnostics == [f"bad edge label {label!r}"]
+
     def test_dot_output(self):
         dot = pc_to_dot(pc_of(U))
         assert dot == pc_to_dot(pc_of(U))

@@ -282,6 +282,20 @@ class TestValidate:
         msgs = arg_diagnostics(data)
         assert any("joins labels 2 and 3" in m for m in msgs)
 
+    def test_desire_edges_must_cover_each_label_class(self):
+        # every vertex lies in one desire edge, but no edge stays inside a
+        # label, so no label class has its two desire edges
+        ids = [f"{p}{c}" for p in (2, 3) for c in "abcd"]
+        data = {
+            "vertices": [{"id": v, "label": int(v[0])} for v in ids] + [{"id": "s"}, {"id": "t"}],
+            "reality": [["s", "2a"], ["2b", "2c"], ["2d", "3a"], ["3b", "3c"], ["3d", "t"]],
+            "desire": [[f"2{c}", f"3{c}"] for c in "abcd"],
+        }
+        with pytest.raises(InvalidGraphError) as info:
+            validate_arg(data)
+        joins = [f"desire edge ['2{c}', '3{c}'] joins labels 2 and 3" for c in "abcd"]
+        assert info.value.diagnostics == joins
+
     def test_malformed_direct_arg_raises_rather_than_hangs(self):
         # a and b each lie in two reality edges; queries on such an ARG
         # once walked forever, so they run in a child with a timeout
@@ -487,6 +501,13 @@ class TestExtended:
         g = build_reduction_graph(parse_legal_string("2 -2"))
         with pytest.raises(ValueError, match="also a desire edge"):
             ExtendedARG(arg=g, merge=frozenset({edge("I1", "I2"), edge("I1'", "I2'")}))
+
+    def test_merge_edges_must_not_overlap(self):
+        # I1 lies in two merge edges; every labelled vertex is covered
+        g = build_reduction_graph(parse_legal_string("2 2"))
+        merge = frozenset({edge("I1", "I1'"), edge("I2", "I2'"), edge("I1", "I2")})
+        with pytest.raises(ValueError, match=r"\Amerge edges overlap\Z"):
+            ExtendedARG(arg=g, merge=merge)
 
     def test_merge_must_connect(self):
         g = validate_arg(load("path_and_cycle"))

@@ -297,6 +297,13 @@ class TestRuleText:
         with pytest.raises(ValueError):
             parse_rule(text)
 
+    @pytest.mark.parametrize(
+        "cls,kind", [(StringRule, "dspr"), (DualRule, "snr"), (StringRule, "xyz"), (DualRule, "xyz")]
+    )
+    def test_kind_must_belong_to_the_class(self, cls, kind):
+        with pytest.raises(ValueError, match=rf"\Aunknown rule kind '{kind}'\Z"):
+            cls(kind, (2,))
+
     def test_sequence_round_trip(self):
         seq = parse_rule_sequence("dspr(2) dsdr(3,5) snr(4)")
         assert format_rule_sequence(seq) == "dspr(2) dsdr(3,5) snr(4)"
