@@ -266,7 +266,13 @@ def main(argv=None) -> int:
             _emit_error(kind, str(exc))
         return code
     render = renderers.get(args.format)
-    print(render(doc) if render else json.dumps(doc, indent=2))
+    try:
+        print(render(doc) if render else json.dumps(doc, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: per "Note on SIGPIPE" in the signal docs, exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

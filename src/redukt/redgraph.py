@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping
 
-from .strings import LegalString, Pointer, _is_symbol
+from .strings import LegalString, _from_word, _is_symbol, _scan
 
 Edge = frozenset  # frozenset[str] with exactly two vertex ids
 
@@ -304,13 +304,13 @@ def _positional(symbols: list[int], chains: Iterable[list[int]], desire: list[in
 
 def build_reduction_graph(u: LegalString) -> ARG:
     """Construct the reduction graph of a legal string."""
-    n, x = len(u), u.letters
+    n, w = len(u), u._word
     desire = [-1] * (2 * n)
     for i, j in u._occ.values():
         # barred alike: Ii'-Ij and Ii-Ij'; barred oppositely: Ii-Ij and Ii'-Ij'
-        a, b = (2 * i + 1, 2 * i) if x[i].barred == x[j].barred else (2 * i, 2 * i + 1)
+        a, b = (2 * i + 1, 2 * i) if w[i] == w[j] else (2 * i, 2 * i + 1)
         desire[a], desire[2 * j], desire[b], desire[2 * j + 1] = 2 * j, a, 2 * j + 1, b
-    return _positional([y.symbol for y in x], [[2 * n, *range(2 * n), 2 * n + 1]], desire)
+    return _positional(list(map(abs, w)), [[2 * n, *range(2 * n), 2 * n + 1]], desire)
 
 
 def build_extended_reduction_graph(u: LegalString) -> ExtendedARG:
@@ -588,11 +588,11 @@ def legalization_representative(e: ExtendedARG) -> LegalString:
     """
     label = e.arg._index.label
     seen: set[int] = set()
-    letters = []
+    word = []
     for p in (label[v] for v in e._path[1:-1:2]):
-        letters.append(Pointer(p, p in seen and pointer_sign(e, p) == POSITIVE))
+        word.append(-p if p in seen and pointer_sign(e, p) == POSITIVE else p)
         seen.add(p)
-    return LegalString(tuple(letters))
+    return _from_word(tuple(word), _scan(word)[1])
 
 
 def extended_canonical_form(e: ExtendedARG):

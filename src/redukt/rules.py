@@ -205,7 +205,8 @@ def _apply(kind: str, u: LegalString, *symbols) -> LegalString:
         positions = (i1, j1, i2, j2)
     if not row.holds(u._word, *positions):
         raise NotApplicableError(row.reason.format(*symbols))
-    return _from_word(row.kernel(u._word, *positions))
+    word = row.kernel(u._word, *positions)
+    return _from_word(word, _scan(word)[1])
 
 
 def apply_snr(u: LegalString, p: int) -> LegalString:
@@ -352,13 +353,14 @@ def orbit(u: LegalString, max_size: int = 10000) -> frozenset[LegalString]:
     image passes the legality test and is canonicalized under
     equivalence, in one pass, before deduplication, since re-signing
     alone never ends the search otherwise.  Members become LegalStrings
-    once, at the end.  Raises OrbitLimitError exactly when the orbit has
-    more than max_size members, and ValueError when max_size < 1.
+    once, at the end, with no second scan.  Raises OrbitLimitError
+    exactly when the orbit has more than max_size members, and
+    ValueError when max_size < 1.
     """
     if max_size < 1:
         raise ValueError(f"orbit budget must be at least 1, got {max_size}")
     start = _scan(u._word)
-    seen = {start[0]}
+    seen = {start[0]: start[1]}  # canonical word -> its occurrence index
     queue = deque([start])
     while queue:
         w, occ = queue.popleft()
@@ -367,9 +369,9 @@ def orbit(u: LegalString, max_size: int = 10000) -> frozenset[LegalString]:
             if image[0] not in seen:
                 if len(seen) >= max_size:
                     raise OrbitLimitError(f"orbit exceeds {max_size} members")
-                seen.add(image[0])
+                seen[image[0]] = image[1]
                 queue.append(image)
-    return frozenset(map(_from_word, seen))
+    return frozenset(_from_word(w, occ) for w, occ in seen.items())
 
 
 def dual_equivalent(u: LegalString, v: LegalString) -> bool:

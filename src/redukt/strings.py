@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -53,54 +52,45 @@ class Pointer:
             raise ParseError(f"pointer symbol must be an integer >= 2, got {self.symbol!r}")
 
     def bar(self) -> "Pointer":
-        return _pointer(self.symbol, not self.barred)
+        return Pointer(self.symbol, not self.barred)
 
     def __str__(self) -> str:
         return f"-{self.symbol}" if self.barred else str(self.symbol)
 
 
-@cache  # one validated Pointer per (symbol, bar), bounded by the symbols seen
-def _pointer(symbol: int, barred: bool) -> Pointer:
-    return Pointer(symbol, barred)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class LegalString:
     """An immutable sequence of pointers with every symbol occurring twice.
 
-    The legality check builds the occurrence index _occ, symbol -> 0-based
-    positions (i, j), i < j, outside the fields: ==, hash, repr ignore it.
-    The word view _word, the letters as signed ints with -p for a barred
-    p, is computed on first use and cached, also outside the fields.
+    The one field is the word _word, the letters as signed ints with -p
+    for a barred p; ==, hash and dataclasses.fields see only the word.
+    The legality check, _scan, also builds the occurrence index _occ,
+    symbol -> 0-based positions (i, j), i < j, kept outside the fields.
+    The letters are computed from the word when read.
     """
 
-    letters: tuple[Pointer, ...]
+    _word: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        first: dict[int, int] = {}
-        occ: dict[int, tuple[int, int]] = {}
+    def __init__(self, letters: Iterable[Pointer]) -> None:
+        word = []
         for j, x in enumerate(letters):
             if not isinstance(x, Pointer):
                 raise ParseError(f"letter {j} is not a Pointer: {x!r}")
-            i = first.setdefault(x.symbol, j)
-            if i != j:
-                occ[x.symbol] = (i, j)
-        # legal iff every symbol seen has a second occurrence and none a third
-        if len(occ) != len(first) or 2 * len(occ) != len(letters):
-            raise _legality_error(x.symbol for x in letters)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_occ", occ)
+            word.append(-x.symbol if x.barred else x.symbol)
+        self.__dict__.update(_word=tuple(word), _occ=_scan(word)[1])
 
-    @cached_property
-    def _word(self) -> tuple[int, ...]:
-        return tuple(-x.symbol if x.barred else x.symbol for x in self.letters)
+    @property
+    def letters(self) -> tuple[Pointer, ...]:
+        return tuple([Pointer(abs(x), x < 0) for x in self._word])
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._word)
 
     def __iter__(self) -> Iterator[Pointer]:
         return iter(self.letters)
+
+    def __repr__(self) -> str:
+        return f"LegalString(letters={self.letters!r})"
 
     def __str__(self) -> str:
         return format_legal_string(self)
@@ -111,12 +101,12 @@ def _legality_error(symbols: Iterable[int]) -> LegalityError:
     return LegalityError(f"symbols not occurring exactly twice: {bad}")
 
 
-def _scan(word: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+def _scan(word: Sequence[int]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
     """One pass over a word, letters as signed ints with -p for a barred p:
     its canonical representative (first occurrences unbarred, each second
     occurrence re-signed with its first) and its occurrence index, symbol
-    -> 0-based (i, j).  Raises LegalityError, as LegalString does, unless
-    every symbol occurs exactly twice."""
+    -> 0-based (i, j).  Raises LegalityError unless every symbol occurs
+    exactly twice: the one legality test of every LegalString."""
     first: dict[int, int] = {}
     occ: dict[int, tuple[int, int]] = {}
     out = []
@@ -133,9 +123,10 @@ def _scan(word: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, 
     return tuple(out), occ
 
 
-def _from_word(word: tuple[int, ...]) -> LegalString:
-    u = LegalString(tuple([_pointer(abs(x), x < 0) for x in word]))
-    u.__dict__["_word"] = word  # the cached_property's slot, filled in advance
+def _from_word(word: tuple[int, ...], occ: dict[int, tuple[int, int]]) -> LegalString:
+    # no check of its own: word has passed _scan, and occ is its index
+    u = object.__new__(LegalString)
+    u.__dict__.update(_word=word, _occ=occ)
     return u
 
 
@@ -152,7 +143,7 @@ def parse_legal_string(text: str) -> LegalString:
     Raises ParseError on a malformed token and LegalityError when some
     symbol does not occur exactly twice.
     """
-    letters = []
+    word = []
     for token in text.split():
         body = token[1:] if token.startswith("-") else token
         # reject '+5', '07' is fine, '2.0'/'1'/'-1' are not, nor '²', a
@@ -162,8 +153,8 @@ def parse_legal_string(text: str) -> LegalString:
         value = int(body)
         if value < 2:
             raise ParseError(f"bad token {token!r}: symbol must be >= 2")
-        letters.append(_pointer(value, token.startswith("-")))
-    return LegalString(tuple(letters))
+        word.append(-value if token.startswith("-") else value)
+    return _from_word(tuple(word), _scan(word)[1])
 
 
 def format_legal_string(u: LegalString) -> str:
@@ -186,7 +177,7 @@ def _occurrences(u: LegalString, p: int) -> tuple[int, int]:
 def is_positive(u: LegalString, p: int) -> bool:
     """True iff exactly one of the two occurrences of p is barred."""
     i, j = _occurrences(u, p)
-    return u.letters[i].barred != u.letters[j].barred
+    return u._word[i] != u._word[j]
 
 
 def p_interval(u: LegalString, p: int) -> tuple[int, int]:
@@ -215,14 +206,13 @@ def inverse(u):
 
 
 def positive_symbols(u: LegalString) -> frozenset[int]:
-    x = u.letters
-    return frozenset(p for p, (i, j) in u._occ.items() if x[i].barred != x[j].barred)
+    w = u._word
+    return frozenset(p for p, (i, j) in u._occ.items() if w[i] != w[j])
 
 
 def equivalent(u: LegalString, v: LegalString) -> bool:
     """True iff u and v agree in unbarred projection and positive symbols."""
-    same_projection = [x.symbol for x in u.letters] == [x.symbol for x in v.letters]
-    return same_projection and positive_symbols(u) == positive_symbols(v)
+    return _scan(u._word)[0] == _scan(v._word)[0]
 
 
 def canonical_equiv_rep(u: LegalString) -> LegalString:
@@ -233,8 +223,8 @@ def canonical_equiv_rep(u: LegalString) -> LegalString:
     It re-signs exactly the symbols whose first occurrence is barred, on
     u's word, and returns u itself when there are none.
     """
-    word = _scan(u._word)[0]
-    return u if word == u._word else _from_word(word)
+    word, occ = _scan(u._word)
+    return u if word == u._word else _from_word(word, occ)
 
 
 __all__ = [

@@ -1,6 +1,10 @@
 """The package's public API: every module's __all__, re-exported, and one
-symbol test at every entry that looks a symbol up."""
+symbol test at every entry that looks a symbol up, and no import from
+outside the standard library."""
 
+import ast
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -21,6 +25,21 @@ def test_package_exports_exactly_the_module_apis():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(redukt, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((Path(__file__).parents[1] / "src" / "redukt").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 U = redukt.parse_legal_string("2 3 2 3")

@@ -601,3 +601,19 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"dual_equivalent": True}
+
+
+def test_closed_reader_exits_1_without_a_traceback():
+    # build at k=500 writes about 180 kB, far more than a pipe buffer holds;
+    # the reader stops after one line, so the write fails with EPIPE
+    src = str(Path(__file__).parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    string = " ".join(str(p) for p in range(2, 502) for _ in "ab")
+    cmd = [sys.executable, "-m", "redukt.cli", "build", string]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert err == b""
+    assert proc.returncode == 1

@@ -8,6 +8,7 @@ from itertools import chain, combinations, permutations
 import pytest
 from hypothesis import given
 
+import redukt.rules as rules_module
 from redukt import (
     DualRule,
     ExtendedARG,
@@ -502,14 +503,19 @@ class TestOrbit:
         # LegalString per member, at the end, and reduce builds none
         rng = random.Random(35)
         strings = [U, P("2 3 -2 -3 4 5 4 -5")] + [random_legal_string(rng, 8) for _ in range(8)]
-        built = []
-        check = LegalString.__post_init__
+        built = []  # strings built through either constructor
+        construct, init = rules_module._from_word, LegalString.__init__
 
-        def counting(self):
-            built.append(self)
-            check(self)
+        def from_word(word, occ):
+            built.append(word)
+            return construct(word, occ)
 
-        monkeypatch.setattr(LegalString, "__post_init__", counting)
+        def from_letters(u, letters):
+            built.append(letters)
+            init(u, letters)
+
+        monkeypatch.setattr(rules_module, "_from_word", from_word)
+        monkeypatch.setattr(LegalString, "__init__", from_letters)
         for u in strings:
             built.clear()
             members = orbit(u)

@@ -1,7 +1,10 @@
 """Legal-string parsing, positivity, intervals, overlap, equivalence."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from redukt import (
     EMPTY,
@@ -64,6 +67,12 @@ class TestParse:
         with pytest.raises((ParseError, LegalityError)):
             parse_legal_string(text)
 
+    @pytest.mark.parametrize("text", ["1 1", "0 0", "-1 -1"])
+    def test_symbols_below_two_rejected(self, text):
+        # the one symbol check on parsed text: no Pointer is built
+        with pytest.raises(ParseError, match="symbol must be >= 2"):
+            parse_legal_string(text)
+
     @pytest.mark.parametrize("text", ["² ²", "2 ² 2 ²", "-² -²", "3³ 3³"])
     def test_non_decimal_digits_rejected(self, text):
         # str.isdigit accepts '²', int() does not: a ParseError, not a ValueError from int()
@@ -100,6 +109,32 @@ class TestConstruction:
         u = parse_legal_string("2 3 -2 3")
         assert repr(u) == repr(LegalString(tuple(u.letters)))
         assert "_occ" not in repr(u)
+
+
+class TestWord:
+    @given(legal_strings, st.data())
+    def test_every_constructor_gives_the_same_value(self, u, data):
+        flags = data.draw(st.lists(st.booleans(), min_size=len(domain(u)), max_size=len(domain(u))))
+        flip = {p for p, f in zip(sorted(domain(u)), flags) if f}
+        resigned = LegalString(x.bar() if x.symbol in flip else x for x in u.letters)
+        rep = canonical_equiv_rep(u)
+        pairs = [
+            (u, LegalString(u.letters)),
+            (u, parse_legal_string(str(u))),
+            (rep, canonical_equiv_rep(resigned)),
+            (rep, LegalString(rep.letters)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_only_the_word_is_stored(self):
+        u = parse_legal_string("2 3 -2 3")
+        assert [f.name for f in dataclasses.fields(u)] == ["_word"]
+        assert u._word == (2, 3, -2, 3)
+        for name in ("letters", "_word"):
+            with pytest.raises(AttributeError):  # FrozenInstanceError among them
+                setattr(u, name, ())
+        assert u == parse_legal_string("2 3 -2 3")
 
 
 class TestOccurrenceIndex:
