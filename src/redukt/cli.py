@@ -189,8 +189,8 @@ def _max_orbit(args) -> int:
     env = os.environ.get("REDUKT_MAX_ORBIT")
     try:
         return args.max if env is None else _orbit_budget(env)
-    except argparse.ArgumentTypeError:
-        raise InvalidGraphError([f"bad REDUKT_MAX_ORBIT value {env!r}"]) from None
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"REDUKT_MAX_ORBIT: {exc}") from None
 
 
 def _cmd_orbit(args) -> tuple[int, dict, dict]:
@@ -248,6 +248,7 @@ _ERRORS = (
     (ParseError, "parse", 1),
     (LegalityError, "legality", 1),
     (InvalidGraphError, "invalid-graph", 1),
+    (argparse.ArgumentTypeError, "usage", 1),
     (OutOfRangeError, "out-of-range", 2),
     (NotApplicableError, "not-applicable", 2),
     (OrbitLimitError, "budget-exceeded", 2),

@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .pcgraph import (
     PointerComponentGraph,
+    _pc,
     is_connected,
     pc_from_json,
     pointer_component_graph,
@@ -30,6 +31,7 @@ from .redgraph import (
     Edge,
     ExtendedARG,
     InvalidGraphError,
+    _Index,
     _merge_partners,
     _positional,
     _walk,
@@ -128,8 +130,8 @@ def find_theta(g: ARG) -> frozenset | None:
     connected iff the original pointer-component graph is, so its
     connectivity decides existence.
     """
-    e = some_merge_legal(g)
-    pc = pointer_component_graph(ARG(base=g.base, reality=g.reality, desire=e))
+    idx, e = g._index, some_merge_legal(g)
+    pc = _pc(_Index(idx.ids, idx.label, idx.reality, _merge_partners(idx, e), idx.s))
     if not is_connected(pc):
         return None
     return flip_set(g, e, spanning_tree_pointers(pc))
@@ -183,6 +185,9 @@ def realize_pc(m, linear_node: str | None = None) -> LegalString:
         raise InvalidGraphError([f"unknown node {linear_node!r}"])
     if not is_connected(m):
         raise OutOfRangeError("a disconnected multigraph is no pointer-component graph")
+    # _positional checks nothing, and a directly built multigraph may hold any label
+    if not all(map(_is_symbol, m.endpoints)):
+        raise InvalidGraphError([f"bad edge label {p!r}" for p in m.endpoints if not _is_symbol(p)])
 
     # slots in sorted node order; slot j (from 0) is the vertex pair 2j,
     # 2j+1, that is Ij+1 and Ij+1', joined by a desire edge

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .redgraph import ARG, InvalidGraphError, _decompose
+from .redgraph import ARG, InvalidGraphError, _Index, _decompose
 from .strings import _is_symbol
 
 
@@ -50,7 +50,10 @@ def pointer_component_graph(g: ARG) -> PointerComponentGraph:
     Node ids are the smallest vertex id of each component, under the
     natural order that puts I2 before I10.
     """
-    idx = g._index
+    return _pc(g._index)
+
+
+def _pc(idx: _Index) -> PointerComponentGraph:
     name = idx.ids[:]
     for walk in _decompose(idx):
         first = idx.ids[min(walk)]

@@ -80,12 +80,6 @@ class ColouredBase:
         if set(self.label) != set(self.vertices) - {self.s, self.t}:
             raise ValueError("label must be defined exactly on the non-endpoint vertices")
 
-    # the vertex ids in natural order, which numbers them in ARG._index;
-    # cached in the instance __dict__, outside the dataclass fields
-    @cached_property
-    def _order(self) -> list[str]:
-        return sorted(self.vertices, key=_id_key)
-
 
 @dataclass(frozen=True, eq=True)
 class ARG:
@@ -116,41 +110,52 @@ class ARG:
     # dataclass fields, so ==, hash and repr ignore the cache
     @cached_property
     def _index(self) -> _Index:
-        return _Index(self.base, self.reality, self.desire)
+        return _checked_index(self.base, self.reality, self.desire)
+
+
+def _indexed(base: ColouredBase, reality: frozenset[Edge], desire: frozenset[Edge], idx: _Index) -> ARG:
+    g = ARG(base=base, reality=reality, desire=desire)
+    g.__dict__["_index"] = idx  # where ARG._index caches it
+    return g
 
 
 class _Index:
-    """Integer view of an ARG, built on first use and cached on it, or by
-    validate_arg from the edge lists it read, so that an edge listed
-    twice fails the matching check.
+    """Integer view of an ARG, cached on it: by ARG._index on first use,
+    or by the builders and validate_arg from the arrays they made.
 
     Vertices are numbered in the natural order of their ids: vertex i
     has id ids[i] (num is the inverse) and label label[i], 0 on s and t.
     reality[i] and desire[i] are i's partners, desire -1 on s and t.
     quads[p] = (a, b, c, d) lists p's four vertices with a-b and c-d its
-    desire edges, a < b, c < d and a < c.  Building it checks the shape
-    conditions of the module docstring and raises InvalidGraphError when
-    one fails, so every walk over the arrays ends within |V| steps.
-    """
+    desire edges, a < b, c < d and a < c.  The arrays are taken as given:
+    _checked_index is what makes them from edge sets and checks them."""
 
     __slots__ = ("ids", "num", "label", "reality", "desire", "quads", "s")
 
-    def __init__(self, base: ColouredBase, reality: Collection[Edge], desire: Collection[Edge]):
-        self.ids = ids = base._order
-        self.num = num = {v: i for i, v in enumerate(ids)}
-        self.label = label = [base.label.get(v, 0) for v in ids]
-        self.reality = _partners(num, reality)
-        self.desire = _partners(num, desire)
-        self.s = num[base.s]
+    def __init__(self, ids: list[str], label: list[int], reality: list[int], desire: list[int], s: int):
+        self.ids, self.label, self.reality, self.desire, self.s = ids, label, reality, desire, s
+        self.num = {v: i for i, v in enumerate(ids)}
         self.quads = quads = {}
-        for v, w in enumerate(self.desire or ()):
+        for v, w in enumerate(desire):
             if v < w and label[v] == label[w]:
                 quads.setdefault(label[v], []).extend((v, w))
+
+
+def _checked_index(base: ColouredBase, reality: Collection[Edge], desire: Collection[Edge]) -> _Index:
+    """The index of a graph given by edges, vertices numbered in natural
+    id order.  Raises InvalidGraphError when a shape condition of the
+    module docstring fails, so every walk over the arrays ends within
+    |V| steps; edges given as a list, one listed twice fails."""
+    ids = sorted(base.vertices, key=_id_key)
+    num = {v: i for i, v in enumerate(ids)}
+    r, d = _partners(num, reality), _partners(num, desire)
+    if None not in (r, d) and -1 not in r:
+        idx = _Index(ids, [base.label.get(v, 0) for v in ids], r, d, num[base.s])
         # each labelled vertex, and no other, needs a desire partner in its class of four
-        ok = None not in (self.reality, self.desire) and -1 not in self.reality
-        ok = ok and sum(map(len, quads.values())) == len(base.label)
-        if not ok or any(len(q) != 4 or not _is_symbol(p) for p, q in quads.items()):
-            raise InvalidGraphError(_shape_problems(base.vertices, base.label, reality, desire))
+        quads = idx.quads.items()
+        if 4 * len(quads) == len(base.label) and all(len(q) == 4 and _is_symbol(p) for p, q in quads):
+            return idx
+    raise InvalidGraphError(_shape_problems(base.vertices, base.label, reality, desire))
 
 
 def _partners(num: Mapping[str, int], edges: Iterable[Edge]) -> list[int] | None:
@@ -289,17 +294,17 @@ def _id_key(v: str):
 
 def _positional(symbols: list[int], chains: Iterable[list[int]], desire: list[int]) -> ARG:
     """The graph on I1, I1', ..., In, In', s, t for the n symbols, numbered
-    0 ... 2n+1 as in the module docstring.  Reality edges join each chain
-    two by two; desire is the partner array of vertices 0 ... 2n-1."""
+    0 ... 2n+1 in their natural order, as in the module docstring.  Reality
+    edges join each chain two by two; desire partners vertices 0 ... 2n-1."""
     ids = [v for i in range(1, len(symbols) + 1) for v in (f"I{i}", f"I{i}'")] + ["s", "t"]
     reality = [-1] * len(ids)
     for chain in chains:
         for v, w in zip(chain[::2], chain[1::2]):
             reality[v], reality[w] = w, v
-    label = dict(zip(ids, (p for p in symbols for _ in "ab")))
-    base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=label)
-    base.__dict__["_order"] = ids  # already the natural order: not sorted for
-    return ARG(base=base, reality=_edge_set(ids, reality), desire=_edge_set(ids, desire))
+    label = [p for p in symbols for _ in "ab"]
+    base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=dict(zip(ids, label)))
+    idx = _Index(ids, label + [0, 0], reality, desire + [-1, -1], len(ids) - 2)
+    return _indexed(base, _edge_set(ids, reality), _edge_set(ids, desire), idx)
 
 
 def build_reduction_graph(u: LegalString) -> ARG:
@@ -316,7 +321,7 @@ def build_reduction_graph(u: LegalString) -> ARG:
 def build_extended_reduction_graph(u: LegalString) -> ExtendedARG:
     """The reduction graph of u plus the generic merge edges {Ii, Ii'}."""
     g = build_reduction_graph(u)
-    return ExtendedARG(arg=g, merge=_edge_set(g.base._order, [v ^ 1 for v in range(2 * len(u))]))
+    return ExtendedARG(arg=g, merge=_edge_set(g._index.ids, [v ^ 1 for v in range(2 * len(u))]))
 
 
 def arg_diagnostics(data) -> list[str]:
@@ -325,18 +330,15 @@ def arg_diagnostics(data) -> list[str]:
     Returns a list of violated conditions, empty when the data describes
     a valid abstract reduction graph.
     """
-    problems, parsed = _read_graph(data)
+    problems, parsed = _read_graph(data, ("reality", "desire"))
     return problems if parsed is None else _shape_problems(*parsed)
 
 
-def _read_graph(data) -> tuple[list[str], tuple | None]:
-    # checks of the raw data: (problems, None), or ([], (ids, label, reality, desire))
-    problems: list[str] = []
+def _read_graph(data, keys: tuple[str, ...]) -> tuple[list[str], tuple | None]:
+    # checks of the raw data: (problems, None), or ([], (ids, label, *edge lists of keys))
     if not isinstance(data, Mapping):
         return ["graph data must be a JSON object"], None
-    for key in ("vertices", "reality", "desire"):
-        if key not in data:
-            problems.append(f"missing key {key!r}")
+    problems = [f"missing key {key!r}" for key in ("vertices", *keys) if key not in data]
     if problems:
         return problems, None
 
@@ -386,11 +388,10 @@ def _read_graph(data) -> tuple[list[str], tuple | None]:
             out.append(frozenset(raw))
         return out
 
-    reality = read_edges("reality")
-    desire = read_edges("desire")
-    if problems or reality is None or desire is None:
+    edges = [read_edges(key) for key in keys]
+    if problems or None in edges:
         return problems, None
-    return problems, (ids, label, reality, desire)
+    return problems, (ids, label, *edges)
 
 
 def _shape_problems(vertices, label, reality, desire) -> list[str]:
@@ -447,36 +448,27 @@ def _shape_problems(vertices, label, reality, desire) -> list[str]:
 def validate_arg(data) -> ARG:
     """Build a typed graph from raw data, raising InvalidGraphError with
     the full list of violated conditions when the shape is wrong."""
-    problems, parsed = _read_graph(data)
-    if parsed is None:
-        raise InvalidGraphError(problems)
-    ids, label, reality, desire = parsed
-    base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=label)
-    g = ARG(base=base, reality=frozenset(reality), desire=frozenset(desire))
-    g.__dict__["_index"] = _Index(base, reality, desire)  # an edge listed twice fails its check
-    return g
+    return _validated(data, ("reality", "desire"))[0]
 
 
 def extended_from_json(data) -> ExtendedARG:
     """Build an extended graph from raw data carrying a merge edge set."""
-    g = validate_arg(data)
-    if "merge" not in data or not isinstance(data["merge"], list):
-        raise InvalidGraphError(["missing or bad 'merge' edge list"])
-    merge = []
-    for raw in data["merge"]:
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2
-            or not all(isinstance(v, str) for v in raw)
-            or raw[0] == raw[1]
-            or not set(raw) <= g.vertices
-        ):
-            raise InvalidGraphError([f"bad merge edge {raw!r}"])
-        merge.append(frozenset(raw))
+    g, merge = _validated(data, ("reality", "desire", "merge"))
     try:
         return ExtendedARG(arg=g, merge=frozenset(merge))
     except ValueError as exc:
         raise InvalidGraphError([str(exc)]) from exc
+
+
+def _validated(data, keys: tuple[str, ...]) -> tuple:
+    # the graph read from data, then the edge lists of the keys after reality and desire
+    problems, parsed = _read_graph(data, keys)
+    if parsed is None:
+        raise InvalidGraphError(problems)
+    ids, label, reality, desire, *rest = parsed
+    base = ColouredBase(vertices=frozenset(ids), s="s", t="t", label=label)
+    idx = _checked_index(base, reality, desire)  # from the lists: an edge listed twice fails
+    return _indexed(base, frozenset(reality), frozenset(desire), idx), *rest
 
 
 def _matching(ids: list[str], partner: list[int]) -> list[list[str]]:

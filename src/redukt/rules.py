@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, reduce as _fold
+from functools import reduce as _fold
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -321,9 +321,6 @@ def successful_reduction_search(u: LegalString) -> RuleSequence:
     return RuleSequence(tuple(out))
 
 
-_dual_rule = cache(DualRule)  # rules are values: one instance per rule seen
-
-
 def _dual_sites(w: tuple[int, ...], occ: dict[int, tuple[int, int]]):
     # every dual rule matching the word, dspr by symbol, then dsdr by
     # symbol pair
@@ -343,7 +340,7 @@ def _dual_sites(w: tuple[int, ...], occ: dict[int, tuple[int, int]]):
 
 def applicable_dual_rules(u: LegalString) -> list[DualRule]:
     """Every dual rule instance matching u, deterministically ordered."""
-    return [_dual_rule(kind, symbols) for kind, symbols, _ in _dual_sites(u._word, u._occ)]
+    return [DualRule(kind, symbols) for kind, symbols, _ in _dual_sites(u._word, u._occ)]
 
 
 def orbit(u: LegalString, max_size: int = 10000) -> frozenset[LegalString]:

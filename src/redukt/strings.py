@@ -50,6 +50,8 @@ class Pointer:
     def __post_init__(self) -> None:
         if not _is_symbol(self.symbol):
             raise ParseError(f"pointer symbol must be an integer >= 2, got {self.symbol!r}")
+        if not isinstance(self.barred, bool):
+            raise ParseError(f"pointer bar flag must be a bool, got {self.barred!r}")
 
     def bar(self) -> "Pointer":
         return Pointer(self.symbol, not self.barred)

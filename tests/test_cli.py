@@ -488,7 +488,7 @@ class TestOrbit:
         monkeypatch.setenv("REDUKT_MAX_ORBIT", "lots")
         code, _, err = run(capsys, "orbit", "2 2")
         assert code == 1
-        assert error_payload(err)["error"] == "invalid-graph"
+        assert error_payload(err)["error"] == "usage"
 
     @pytest.mark.parametrize("budget", ["0", "-1", "lots"])
     def test_budget_flag_below_one(self, capsys, budget):
@@ -502,7 +502,7 @@ class TestOrbit:
         monkeypatch.setenv("REDUKT_MAX_ORBIT", budget)
         code, _, err = run(capsys, "orbit", "2 3 2 3", "--max", "100")
         assert code == 1
-        assert error_payload(err)["error"] == "invalid-graph"
+        assert error_payload(err)["error"] == "usage"
 
     def test_budget_of_one(self, capsys, monkeypatch):
         monkeypatch.delenv("REDUKT_MAX_ORBIT", raising=False)

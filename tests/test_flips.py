@@ -16,6 +16,7 @@ from redukt import (
     LegalString,
     OutOfRangeError,
     Pointer,
+    PointerComponentGraph,
     arg_to_json,
     are_isomorphic,
     bridge_set,
@@ -413,6 +414,12 @@ class TestRealize:
     def test_malformed_input(self):
         with pytest.raises(InvalidGraphError):
             realize_pc({"nodes": ["A", "A"], "edges": []})
+
+    @pytest.mark.parametrize("label", [1, True, 2.0])
+    def test_directly_built_multigraph_with_a_bad_label(self, label):
+        m = PointerComponentGraph(nodes=frozenset({"A"}), endpoints={label: frozenset({"A"})})
+        with pytest.raises(InvalidGraphError, match="bad edge label"):
+            realize_pc(m)
 
     def test_empty_multigraph(self):
         with pytest.raises(OutOfRangeError, match="the empty multigraph is no pointer-component graph"):

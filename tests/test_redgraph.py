@@ -44,10 +44,12 @@ from redukt import (
     parse_legal_string,
     pointer_component_graph,
     pointer_sign,
+    realize_pc,
     recover_legal_string,
     st_path,
     validate_arg,
 )
+from redukt import redgraph
 
 from oracles import (
     all_strings,
@@ -553,6 +555,79 @@ class TestExtended:
             for v in universe[:24]:
                 fv = extended_canonical_form(build_extended_reduction_graph(v))
                 assert (fu == fv) == equivalent(u, v)
+
+
+class TestExtendedFromJson:
+    def test_missing_merge(self):
+        data = arg_to_json(build_reduction_graph(parse_legal_string("2 2")))
+        with pytest.raises(InvalidGraphError) as exc:
+            extended_from_json(data)
+        assert exc.value.diagnostics == ["missing key 'merge'"]
+
+    def test_missing_keys_are_listed_together(self):
+        with pytest.raises(InvalidGraphError) as exc:
+            extended_from_json({"reality": [], "desire": []})
+        assert exc.value.diagnostics == ["missing key 'vertices'", "missing key 'merge'"]
+
+    def test_merge_must_be_a_list(self):
+        data = {**arg_to_json(build_reduction_graph(parse_legal_string("2 2"))), "merge": {}}
+        with pytest.raises(InvalidGraphError) as exc:
+            extended_from_json(data)
+        assert exc.value.diagnostics == ["'merge' must be a list of vertex pairs"]
+
+    def test_every_bad_merge_edge_is_listed(self):
+        data = extended_to_json(build_extended_reduction_graph(parse_legal_string("2 2")))
+        data["merge"] += [["I1"], ["I1", "x"], ["I2", "I2"], [3, "I2"]]
+        with pytest.raises(InvalidGraphError) as exc:
+            extended_from_json(data)
+        assert exc.value.diagnostics == [
+            "bad merge edge ['I1']",
+            "merge edge ['I1', 'x'] mentions an unknown vertex",
+            "merge edge ['I2', 'I2'] is a loop",
+            "bad merge edge [3, 'I2']",
+        ]
+
+    def test_duplicate_merge_edge_counts_once(self):
+        e = build_extended_reduction_graph(U)
+        data = extended_to_json(e)
+        data["merge"].append(data["merge"][0][::-1])
+        assert extended_from_json(data) == e
+
+
+class TestIndexHandOver:
+    """Built and validated graphs carry the index they were made from."""
+
+    def test_builders_convert_no_edge_set(self, monkeypatch):
+        m = pointer_component_graph(build_reduction_graph(U))
+        expected = (
+            arg_to_json(build_reduction_graph(U)),
+            extended_to_json(build_extended_reduction_graph(U)),
+            realize_pc(m),
+        )
+
+        def refuse(num, edges):
+            raise AssertionError("an edge set was converted to a partner array")
+
+        monkeypatch.setattr(redgraph, "_partners", refuse)
+        got = (
+            arg_to_json(build_reduction_graph(U)),
+            extended_to_json(build_extended_reduction_graph(U)),
+            realize_pc(m),
+        )
+        assert got == expected
+
+    def test_recover_sorts_the_ids_once(self, monkeypatch):
+        data = arg_to_json(build_reduction_graph(U))
+        keyed = []
+
+        def counting_key(v):
+            keyed.append(v)
+            return id_key(v)
+
+        id_key = redgraph._id_key
+        monkeypatch.setattr(redgraph, "_id_key", counting_key)
+        recover_legal_string(validate_arg(data))
+        assert len(keyed) == len(data["vertices"])
 
 
 def _positive_in(u, p):

@@ -42,6 +42,12 @@ class TestPointer:
         with pytest.raises(ValueError):
             Pointer(bad)
 
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_rejects_non_bool_bar_flags(self, flag):
+        # else Pointer(2, "no") would print as -2 yet differ from Pointer(2, True)
+        with pytest.raises(ParseError, match="bar flag must be a bool"):
+            Pointer(2, flag)
+
     def test_str(self):
         assert str(Pointer(7)) == "7"
         assert str(Pointer(7, True)) == "-7"
