@@ -68,11 +68,11 @@ def _emit_error(kind: str, message: str, diagnostics: list[str] | None = None) -
 def _load_json_file(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidGraphError([f"cannot read {path}: {exc}"]) from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a number past int()'s digit limit is a bare ValueError
         raise InvalidGraphError([f"bad JSON in {path}: {exc}"]) from exc
 
 

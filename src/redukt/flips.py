@@ -131,7 +131,7 @@ def find_theta(g: ARG) -> frozenset | None:
     connectivity decides existence.
     """
     idx, e = g._index, some_merge_legal(g)
-    pc = _pc(_Index(idx.ids, idx.label, idx.reality, _merge_partners(idx, e), idx.s))
+    pc = _pc(_Index(idx.ids, idx.label, idx.reality, _merge_partners(idx, e), idx.s, idx.num))
     if not is_connected(pc):
         return None
     return flip_set(g, e, spanning_tree_pointers(pc))

@@ -124,17 +124,19 @@ class _Index:
     or by the builders and validate_arg from the arrays they made.
 
     Vertices are numbered in the natural order of their ids: vertex i
-    has id ids[i] (num is the inverse) and label label[i], 0 on s and t.
-    reality[i] and desire[i] are i's partners, desire -1 on s and t.
-    quads[p] = (a, b, c, d) lists p's four vertices with a-b and c-d its
-    desire edges, a < b, c < d and a < c.  The arrays are taken as given:
-    _checked_index is what makes them from edge sets and checks them."""
+    has id ids[i] (num is the inverse, made here unless given) and label
+    label[i], 0 on s and t.  reality[i] and desire[i] are i's partners,
+    desire -1 on s and t.  quads[p] = (a, b, c, d) lists p's four
+    vertices with a-b and c-d its desire edges, a < b, c < d and a < c.
+    The arrays are taken as given: _checked_index is what makes them from
+    edge sets and checks them."""
 
     __slots__ = ("ids", "num", "label", "reality", "desire", "quads", "s")
 
-    def __init__(self, ids: list[str], label: list[int], reality: list[int], desire: list[int], s: int):
+    def __init__(self, ids: list[str], label: list[int], reality: list[int], desire: list[int], s: int,
+                 num: dict[str, int] | None = None):
         self.ids, self.label, self.reality, self.desire, self.s = ids, label, reality, desire, s
-        self.num = {v: i for i, v in enumerate(ids)}
+        self.num = {v: i for i, v in enumerate(ids)} if num is None else num
         self.quads = quads = {}
         for v, w in enumerate(desire):
             if v < w and label[v] == label[w]:
@@ -150,7 +152,7 @@ def _checked_index(base: ColouredBase, reality: Collection[Edge], desire: Collec
     num = {v: i for i, v in enumerate(ids)}
     r, d = _partners(num, reality), _partners(num, desire)
     if None not in (r, d) and -1 not in r:
-        idx = _Index(ids, [base.label.get(v, 0) for v in ids], r, d, num[base.s])
+        idx = _Index(ids, [base.label.get(v, 0) for v in ids], r, d, num[base.s], num)
         # each labelled vertex, and no other, needs a desire partner in its class of four
         quads = idx.quads.items()
         if 4 * len(quads) == len(base.label) and all(len(q) == 4 and _is_symbol(p) for p, q in quads):
@@ -281,15 +283,25 @@ class CanonicalForm:
     cycle_words: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _id_key(v: str):
-    # natural sort: "I10'" sorts after "I2" and before "s"/"t".  Ids equal
-    # up to leading zeros ("x1", "x01") are ordered by the raw id, in a last
-    # part (-1, v) that sorts before every other part, so "Ix" < "Ix2"; a
-    # key (parts, v) gives the same order but compares the parts twice.
-    # isdecimal, not isdigit: a part such as "²" is a digit that \d and
-    # int() both reject
-    parts = re.split(r"(\d+)", v)
-    return (*((1, int(p)) if p.isdecimal() else (0, p) for p in parts), (-1, v))
+_split_digit_runs = re.compile(r"(\d+)").split
+
+
+def _id_key(v: str) -> list:
+    # natural sort: "I10'" sorts after "I2" and before "s"/"t".  The split
+    # alternates text and digit runs, so the key is text, run value, text,
+    # ..., text, then -1 and the raw id: -1 sorts below every run value
+    # ("Ix" < "Ix2"), and the raw id orders ids equal up to leading zeros
+    # ("x01" < "x1").  \d and int() accept the same decimal digits, not "²"
+    parts = _split_digit_runs(v)
+    try:
+        parts[1::2] = map(int, parts[1::2])
+    except ValueError:
+        # a run past int()'s digit limit: Decimal has none and compares
+        # exactly with int; imported here, since no common id needs it
+        from decimal import Decimal
+        parts[1::2] = map(Decimal, parts[1::2])
+    parts += (-1, v)
+    return parts
 
 
 def _positional(symbols: list[int], chains: Iterable[list[int]], desire: list[int]) -> ARG:
@@ -348,7 +360,8 @@ def _read_graph(data, keys: tuple[str, ...]) -> tuple[list[str], tuple | None]:
     if not isinstance(data["vertices"], list):
         return ["'vertices' must be a list"], None
     for entry in data["vertices"]:
-        if not isinstance(entry, Mapping) or "id" not in entry or not isinstance(entry["id"], str):
+        mapping = type(entry) is dict or isinstance(entry, Mapping)  # the ABC check is slow
+        if not mapping or "id" not in entry or not isinstance(entry["id"], str):
             problems.append(f"bad vertex entry {entry!r}")
             continue
         vid = entry["id"]
@@ -358,7 +371,7 @@ def _read_graph(data, keys: tuple[str, ...]) -> tuple[list[str], tuple | None]:
         ids.add(vid)
         if "label" in entry:
             value = entry["label"]
-            if not _is_symbol(value):
+            if not (type(value) is int and value >= 2 or _is_symbol(value)):
                 problems.append(f"vertex {vid!r} has bad label {value!r}")
             else:
                 label[vid] = value
@@ -375,10 +388,10 @@ def _read_graph(data, keys: tuple[str, ...]) -> tuple[list[str], tuple | None]:
             return None
         out = []
         for raw in data[key]:
-            if not isinstance(raw, list) or len(raw) != 2 or not all(isinstance(v, str) for v in raw):
+            a, b = raw if isinstance(raw, list) and len(raw) == 2 else (None, None)
+            if not (isinstance(a, str) and isinstance(b, str)):
                 problems.append(f"bad {key} edge {raw!r}")
                 continue
-            a, b = raw
             if a not in ids or b not in ids:
                 problems.append(f"{key} edge {raw!r} mentions an unknown vertex")
                 continue

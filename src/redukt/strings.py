@@ -152,7 +152,10 @@ def parse_legal_string(text: str) -> LegalString:
         # digit but not a decimal one, which int() rejects
         if not body.isdecimal():
             raise ParseError(f"bad token {token!r}")
-        value = int(body)
+        try:
+            value = int(body)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"bad token {token!r}: too many digits") from None
         if value < 2:
             raise ParseError(f"bad token {token!r}: symbol must be >= 2")
         word.append(-value if token.startswith("-") else value)

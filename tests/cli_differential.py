@@ -14,10 +14,12 @@ byte-identical:
 
 Graph inputs come from the build command's own output, mutated, and from
 an independent random generator, so they do not depend on library code
-beyond the CLI.  Files are written to a temporary directory that is the
-working directory while the calls run, so records name them by relative
-path.  pytest does not collect this module: its name does not match
-test_*.py.
+beyond the CLI.  A call that raises out of main is recorded with the
+exception's type name as its code, so a run completes on a checkout
+that crashes on some input.  Files are written to a temporary directory
+that is the working directory while the calls run, so records name them
+by relative path.  pytest does not collect this module: its name does
+not match test_*.py.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ def call(argv: list[str], env: str | None = None) -> dict:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:  # a crash, recorded by type so that the run goes on
+                code = type(exc).__name__
     finally:
         os.environ.pop(ENV, None)
         if saved is not None:
@@ -235,6 +239,22 @@ def cases(rng: random.Random) -> list:
         (["realize-pc"], None),
         (["--format", "json", "build", "2 2"], None),
     ]
+    # inputs past int()'s 4,300-digit limit or the recursion limit, and a
+    # file that is not UTF-8; nothing here is drawn from rng
+    long_id = json.dumps(graphs[3]).replace('"I1"', f'"x{"1" * 5000}"')
+    for name in (
+        write("long_id.json", long_id),
+        write("long_number.json", '{"vertices": ' + "1" * 5000 + "}"),
+        write("nested.json", "[" * 100_000),
+    ):
+        for cmd in ("check-range", "recover", "pc", "realize-pc"):
+            calls.append(([cmd, name], None))
+    Path("not_utf8.json").write_bytes(b"\xff{}")
+    calls.append((["recover", "not_utf8.json"], None))
+    token = "2" * 5000
+    for cmd in ("build", "extend", "pc", "reduce", "orbit"):
+        calls.append(([cmd, f"{token} -{token}"], None))
+    calls.append((["fiber-check", "2 2", f"{token} {token}"], None))
     return calls
 
 

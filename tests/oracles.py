@@ -14,6 +14,7 @@ builder.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
@@ -415,6 +416,14 @@ def relabeled(g: ARG, rng) -> ARG:
         reality=frozenset(frozenset(m[v] for v in e) for e in g.reality),
         desire=frozenset(frozenset(m[v] for v in e) for e in g.desire),
     )
+
+
+def oracle_id_key(v: str):
+    """Reference natural-order key for redgraph._id_key: each part of the
+    digit-run split tagged (0, text) or (1, int), then (-1, v), which
+    orders ids that tie on their parts."""
+    parts = re.split(r"(\d+)", v)
+    return (*((1, int(p)) if p.isdecimal() else (0, p) for p in parts), (-1, v))
 
 
 def random_connected_multigraph(rng, max_nodes: int = 5, max_edges: int = 8) -> dict:

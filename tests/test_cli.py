@@ -424,6 +424,63 @@ class TestContainerTypes:
         assert run(capsys, command, graph_file("g.json", data)) == (1, "", json.dumps(payload) + "\n")
 
 
+class TestOversizedInput:
+    """Inputs past int()'s 4,300-digit limit or the recursion limit: a
+    result or one JSON error line, never a traceback."""
+
+    def test_long_digit_run_in_a_vertex_id(self, capsys, graph_file):
+        data = json.dumps(arg_to_json(build_reduction_graph(parse_legal_string("2 3 -2 3"))))
+        data = data.replace('"I1"', f'"x{"1" * 5000}"').replace('"I2"', f'"x{"1" * 4999}"')
+        path = graph_file("g.json", json.loads(data))
+        assert run(capsys, "check-range", path, "--format", "text") == (0, "in range\n", "")
+        code, out, err = run(capsys, "pc", path)
+        assert (code, err) == (0, "") and json.loads(out)["nodes"]
+        code, out, err = run(capsys, "recover", path, "--format", "text")
+        assert (code, err) == (0, "") and len(out.split()) == 4
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("[" * 100_000, "maximum recursion depth"), ('{"vertices": ' + "1" * 5000 + "}", "4300")],
+        ids=["nested", "long-number"],
+    )
+    @pytest.mark.parametrize("command", ["recover", "check-range", "pc", "realize-pc"])
+    def test_bad_json(self, capsys, tmp_path, command, text, reason):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        payload = error_payload(err)
+        assert payload["error"] == "invalid-graph" and "Traceback" not in err
+        [diagnostic] = payload["diagnostics"]
+        assert diagnostic.startswith(f"bad JSON in {path}: ") and reason in diagnostic
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "recover", str(path))
+        assert (code, out) == (1, "")
+        assert error_payload(err)["diagnostics"][0].startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "{0} {0}"),
+            ("extend", "{0} {0}"),
+            ("pc", "{0} {0}"),
+            ("reduce", "{0} -{0}"),
+            ("orbit", "{0} {0}"),
+            ("fiber-check", "2 2", "{0} {0}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_long_token(self, capsys, argv):
+        token = "2" * 5000
+        code, out, err = run(capsys, *(a.format(token) for a in argv))
+        assert (code, out) == (1, "")
+        payload = error_payload(err)
+        assert payload == {"error": "parse", "message": f"bad token {token!r}: too many digits"}
+
+
 class TestRecover:
     def test_round_trip(self, capsys, graph_file):
         path = graph_file("g.json", arg_to_json(build_reduction_graph(parse_legal_string("2 2"))))

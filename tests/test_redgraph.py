@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 from itertools import combinations
 from pathlib import Path
 
@@ -56,6 +57,7 @@ from oracles import (
     canonical_strings,
     legal_string_strategy,
     oracle_component_count,
+    oracle_id_key,
     oracle_isomorphic,
     oracle_reduction_graph,
     random_arg,
@@ -555,6 +557,62 @@ class TestExtended:
             for v in universe[:24]:
                 fv = extended_canonical_form(build_extended_reduction_graph(v))
                 assert (fu == fv) == equivalent(u, v)
+
+
+class TestIdKey:
+    """redgraph._id_key, the one natural-order key of vertex ids."""
+
+    # ASCII digits, leading zeros, a digit int() rejects ("²"), Arabic-Indic
+    # digits ("٣" is 3, "٠" is 0), letters and quotes; the empty id too
+    @given(st.lists(st.text(alphabet="0019²٣٠abIst'\"", max_size=7), max_size=12))
+    def test_order_is_the_tagged_keys(self, ids):
+        ids += [v[:i] for v in ids for i in range(len(v))]  # with every prefix, such as "a" of "a0"
+        assert sorted(ids, key=redgraph._id_key) == sorted(ids, key=oracle_id_key)
+
+    def test_runs_past_the_int_digit_limit_sort_by_value(self):
+        big = "1" * 5000
+        ids = [
+            f"x{big}",
+            f"x{'0' * 7}{big}",  # the same value: the raw id breaks the tie
+            f"x{big[:-1]}2",
+            f"x{'9' * 4999}",
+            f"x{'٣' * 5000}",
+            f"x{big}y10",
+            f"x{big}y9",
+            "x2",
+        ]
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # no limit: the reference converts every run
+            expected = sorted(ids, key=oracle_id_key)
+            sys.set_int_max_str_digits(640)  # the lowest limit int() allows
+            assert sorted(ids, key=redgraph._id_key) == expected
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert expected[0] == "x2" and expected[-1] == f"x{'٣' * 5000}"
+
+
+class TestReadGraph:
+    def test_messages_and_their_order(self):
+        data = arg_to_json(build_reduction_graph(parse_legal_string("2 2")))
+        # any Mapping is a vertex entry; a dict is only the common case
+        data["vertices"][0] = types.MappingProxyType(data["vertices"][0])
+        data["vertices"] += [["id", "a"], {"label": 2}, {"id": 5}, {"id": "b", "label": True}]
+        assert arg_diagnostics(data) == [
+            "bad vertex entry ['id', 'a']",
+            "bad vertex entry {'label': 2}",
+            "bad vertex entry {'id': 5}",
+            "vertex 'b' has bad label True",
+        ]
+        data = arg_to_json(build_reduction_graph(parse_legal_string("2 2")))
+        data["reality"] += [("s", "I1"), ["s", 3], ["s", "I1", "t"], "st", ["s", "x"]]
+        assert arg_diagnostics(data) == [
+            "bad reality edge ('s', 'I1')",
+            "bad reality edge ['s', 3]",
+            "bad reality edge ['s', 'I1', 't']",
+            "bad reality edge 'st'",
+            "reality edge ['s', 'x'] mentions an unknown vertex",
+        ]
 
 
 class TestExtendedFromJson:
