@@ -180,9 +180,12 @@ def _cmd_fiber_check(args) -> tuple[int, dict, dict]:
 
 
 def _orbit_budget(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"orbit budget must be an integer >= 1, got {text!r}")
-    return int(text)
+    try:
+        if text.strip().isdecimal() and int(text) >= 1:
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"orbit budget must be an integer >= 1, got {text!r}")
 
 
 def _max_orbit(args) -> int:

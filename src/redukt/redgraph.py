@@ -541,17 +541,15 @@ def canonical_form(g: ARG) -> CanonicalForm:
 def _canonical_cycle_word(labels: list[int]) -> tuple[tuple[int, int], ...]:
     # labels of a cycle's vertices in traversal order; consecutive edges
     # alternate reality, desire, reality, ... starting from the first.
+    # A step is (edge colour, label of the vertex stepped onto); stepping
+    # back from cycle[i] to cycle[i-1] takes the colour of edge (i-1, i).
     m = len(labels)
-    words = []
-    for start in range(m):
-        # forward: step colours keep the alternation of the traversal
-        word = tuple(((start + k) % 2, labels[(start + k + 1) % m]) for k in range(m))
-        words.append(word)
-        # backward: the step from cycle[i] back to cycle[i-1] has the
-        # colour of the forward edge (i-1, i)
-        word = tuple(((start - k - 1) % 2, labels[(start - k - 1) % m]) for k in range(m))
-        words.append(word)
-    return min(words)
+    forward = tuple((i % 2, labels[(i + 1) % m]) for i in range(m))
+    backward = tuple((i % 2, labels[i]) for i in range(m - 1, -1, -1))
+    # the least rotation starts with the least step; a label sits on four
+    # vertices, so at most eight rotations do
+    first = min(min(forward), min(backward))
+    return min(w[i:] + w[:i] for w in (forward, backward) for i in range(m) if w[i] == first)
 
 
 def are_isomorphic(g: ARG, h: ARG) -> bool:

@@ -172,7 +172,10 @@ def parse_rule(text: str) -> StringRule | DualRule:
     if not m:
         raise ValueError(f"bad rule text {text!r}")
     kind = m.group(1)
-    pointers = tuple(int(g) for g in m.groups()[1:] if g is not None)
+    try:
+        pointers = tuple(int(g) for g in m.groups()[1:] if g is not None)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"bad rule text {text!r}") from None
     return _KINDS[kind].cls(kind=kind, pointers=pointers)
 
 

@@ -255,6 +255,12 @@ def cases(rng: random.Random) -> list:
     for cmd in ("build", "extend", "pc", "reduce", "orbit"):
         calls.append(([cmd, f"{token} -{token}"], None))
     calls.append((["fiber-check", "2 2", f"{token} {token}"], None))
+    # the odd-k single cycle, a yes pair and a no pair (one bar flipped), and
+    # orbit budgets past int()'s digit limit; nothing here is drawn from rng
+    for k in (101, 501):
+        u = " ".join(map(str, [*range(2, k + 2)] * 2))
+        calls += [(["fiber-check", u, u], None), (["fiber-check", u, f"-{u}"], None)]
+    calls += [(["orbit", "2 3 2 3", "--max", "9" * 5000], None), (["orbit", "2 3 2 3"], "9" * 5000)]
     return calls
 
 

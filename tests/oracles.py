@@ -6,10 +6,11 @@ merge-legal sets by per-symbol matching enumeration, connectivity by a
 local breadth-first search, reduction graphs by their textbook edge
 rules, occurrences by a letter scan, the five rules by their textbook
 definitions on (symbol, barred) pairs, the greedy reduction by
-enumerating every pair in the documented order, and orbits by trying
-every rule instance on every member.  Tests compare library output
-against these; nothing here imports redukt.rules or a redukt.redgraph
-builder.
+enumerating every pair in the documented order, orbits by trying
+every rule instance on every member, and canonical cycle words by
+taking the least of every rotation in both directions.  Tests compare
+library output against these; nothing here imports redukt.rules or a
+redukt.redgraph builder.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from redukt import ARG, ColouredBase, LegalString, Pointer
+from redukt import ARG, CanonicalForm, ColouredBase, LegalString, Pointer
 from redukt.pcgraph import PointerComponentGraph
 
 
@@ -241,6 +242,47 @@ def oracle_isomorphic(g: ARG, h: ARG) -> bool:
     if not consistent(g.s, h.s) or not consistent(g.t, h.t):
         return False
     return rec(0)
+
+
+def oracle_cycle_word(labels: list[int]) -> tuple[tuple[int, int], ...]:
+    """Reference for redgraph._canonical_cycle_word: the least of all 2m
+    rotations of the cycle's step word, in both directions."""
+    # labels of a cycle's vertices in traversal order; consecutive edges
+    # alternate reality, desire, reality, ... starting from the first.
+    m = len(labels)
+    words = []
+    for start in range(m):
+        # forward: step colours keep the alternation of the traversal
+        word = tuple(((start + k) % 2, labels[(start + k + 1) % m]) for k in range(m))
+        words.append(word)
+        # backward: the step from cycle[i] back to cycle[i-1] has the
+        # colour of the forward edge (i-1, i)
+        word = tuple(((start - k - 1) % 2, labels[(start - k - 1) % m]) for k in range(m))
+        words.append(word)
+    return min(words)
+
+
+def oracle_canonical_form(g: ARG) -> CanonicalForm:
+    """The canonical form from a walk over g's edge sets, reality first
+    from every start, with oracle_cycle_word for each cycle."""
+    reality, desire = _partner_maps(g)
+
+    def walk(start: str) -> list[str]:
+        out, v = [start], reality.get(start)
+        while v is not None and v != start:
+            out.append(v)
+            v = (desire, reality)[len(out) % 2].get(v)
+        return out
+
+    path = walk(g.s)
+    seen = set(path)
+    words = []
+    for v in g.vertices:
+        if v not in seen:
+            cycle = walk(v)
+            seen.update(cycle)
+            words.append(oracle_cycle_word([g.label[x] for x in cycle]))
+    return CanonicalForm(path_word=tuple(g.label[v] for v in path[1:-1]), cycle_words=tuple(sorted(words)))
 
 
 def oracle_multigraph_isomorphic(m1: PointerComponentGraph, m2: PointerComponentGraph) -> bool:

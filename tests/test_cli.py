@@ -561,6 +561,23 @@ class TestOrbit:
         assert code == 1
         assert error_payload(err)["error"] == "usage"
 
+    def test_budget_flag_past_the_int_digit_limit(self, capsys):
+        # more digits than int() converts: the CLI's own usage message,
+        # not argparse's "invalid _orbit_budget value"
+        budget = "9" * 5000
+        code, out, err = run(capsys, "orbit", "2 3 2 3", "--max", budget)
+        assert (code, out) == (1, "")
+        message = f"argument --max: orbit budget must be an integer >= 1, got '{budget}'"
+        assert error_payload(err) == {"error": "usage", "message": message}
+
+    def test_env_value_past_the_int_digit_limit(self, capsys, monkeypatch):
+        budget = "9" * 5000
+        monkeypatch.setenv("REDUKT_MAX_ORBIT", budget)
+        code, out, err = run(capsys, "orbit", "2 3 2 3")
+        assert (code, out) == (1, "")
+        message = f"REDUKT_MAX_ORBIT: orbit budget must be an integer >= 1, got '{budget}'"
+        assert error_payload(err) == {"error": "usage", "message": message}
+
     def test_budget_of_one(self, capsys, monkeypatch):
         monkeypatch.delenv("REDUKT_MAX_ORBIT", raising=False)
         code, out, _ = run(capsys, "orbit", "2 2", "--max", "1")

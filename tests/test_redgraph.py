@@ -56,7 +56,9 @@ from oracles import (
     all_strings,
     canonical_strings,
     legal_string_strategy,
+    oracle_canonical_form,
     oracle_component_count,
+    oracle_cycle_word,
     oracle_id_key,
     oracle_isomorphic,
     oracle_reduction_graph,
@@ -68,6 +70,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 U = parse_legal_string("2 -7 4 7 3 5 3 -4 2 6 5 6")
 
 legal_strings = legal_string_strategy()
+
+
+@st.composite
+def cycle_labels(draw):
+    """Even-length label lists over two or three labels: a drawn pattern
+    repeated, so labels repeat more than four times and words are often
+    periodic; a one-label pattern makes a 2-cycle."""
+    alphabet = st.integers(2, draw(st.integers(3, 4)))
+    labels = draw(st.lists(alphabet, min_size=1, max_size=10)) * draw(st.integers(1, 4))
+    return labels * (1 + len(labels) % 2)
 
 
 def load(name):
@@ -433,6 +445,52 @@ class TestCanonicalForm:
             h = relabeled(g, rng)
             assert canonical_form(g) == canonical_form(h)
             assert oracle_isomorphic(g, h)
+
+    @given(cycle_labels())
+    def test_cycle_word_agrees_with_oracle(self, labels):
+        assert redgraph._canonical_cycle_word(labels) == oracle_cycle_word(labels)
+
+    @given(st.randoms(use_true_random=False))
+    def test_agrees_with_oracle_form_on_random_graphs(self, rng):
+        g = random_arg(rng, max_symbols=8)
+        assert canonical_form(g) == oracle_canonical_form(g)
+
+    @given(legal_string_strategy(max_symbols=10))
+    def test_agrees_with_oracle_form_on_every_cycle(self, u):
+        g = build_reduction_graph(u)
+        assert canonical_form(g) == oracle_canonical_form(g)
+
+    def test_large_graphs_in_a_child_process(self):
+        # the k=3200 round trip on three seeds, and fiber-check on the odd-k
+        # single cycle of 8,002 vertices, under a 2 GiB address-space limit
+        script = textwrap.dedent(
+            """
+            import json, random, resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from redukt import LegalString, Pointer, are_isomorphic, arg_to_json
+            from redukt import build_reduction_graph, recover_legal_string, validate_arg
+            from redukt.cli import main
+
+            for seed in range(3):
+                rng = random.Random(seed)
+                letters = [p for p in range(2, 3202) for _ in range(2)]
+                rng.shuffle(letters)
+                g = build_reduction_graph(LegalString(tuple(Pointer(p, rng.random() < 0.5) for p in letters)))
+                w = recover_legal_string(validate_arg(json.loads(json.dumps(arg_to_json(g)))))
+                assert are_isomorphic(build_reduction_graph(w), g), seed
+            u = " ".join(map(str, [*range(2, 4003)] * 2))
+            raise SystemExit(main(["fiber-check", u, u]))
+            """
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"dual_equivalent": True}
 
     @given(legal_strings)
     def test_component_counts_match_oracle(self, u):

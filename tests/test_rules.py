@@ -298,6 +298,12 @@ class TestRuleText:
         with pytest.raises(ValueError):
             parse_rule(text)
 
+    @pytest.mark.parametrize("parse", [parse_rule, parse_rule_sequence])
+    def test_symbol_past_the_int_digit_limit_is_bad_text(self, parse):
+        text = "snr(" + "9" * 5000 + ")"
+        with pytest.raises(ValueError, match=r"\Abad rule text 'snr\(9+\)'\Z"):
+            parse(text)
+
     @pytest.mark.parametrize(
         "cls,kind", [(StringRule, "dspr"), (DualRule, "snr"), (StringRule, "xyz"), (DualRule, "xyz")]
     )
