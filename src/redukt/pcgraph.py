@@ -18,14 +18,13 @@ JSON schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .redgraph import ARG, InvalidGraphError, _Index, _decompose
-from .strings import _is_symbol
+from .strings import _is_symbol, _value
 
 
-@dataclass(frozen=True, eq=True)
+@_value
 class PointerComponentGraph:
     """A multigraph with one edge per symbol.
 

@@ -42,11 +42,10 @@ The two unlabelled vertices must have ids "s" and "t".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping
 
-from .strings import LegalString, _from_word, _is_symbol, _scan
+from .strings import LegalString, _from_word, _is_symbol, _scan, _value
 
 Edge = frozenset  # frozenset[str] with exactly two vertex ids
 
@@ -61,7 +60,7 @@ class InvalidGraphError(ValueError):
         self.diagnostics = list(diagnostics)
 
 
-@dataclass(frozen=True, eq=True)
+@_value
 class ColouredBase:
     """Vertices with two distinguished endpoints and a labelling map.
 
@@ -81,7 +80,7 @@ class ColouredBase:
             raise ValueError("label must be defined exactly on the non-endpoint vertices")
 
 
-@dataclass(frozen=True, eq=True)
+@_value
 class ARG:
     """An abstract reduction graph: a coloured base plus reality and
     desire edge sets.  See the module docstring for the invariants."""
@@ -107,7 +106,7 @@ class ARG:
         return self.base.label
 
     # cached_property writes to the instance __dict__, outside the
-    # dataclass fields, so ==, hash and repr ignore the cache
+    # fields, so ==, hash and repr ignore the cache
     @cached_property
     def _index(self) -> _Index:
         return _checked_index(self.base, self.reality, self.desire)
@@ -209,7 +208,7 @@ def dom(g: ARG) -> frozenset[int]:
     return frozenset(g.label.values())
 
 
-@dataclass(frozen=True, eq=True)
+@_value
 class ExtendedARG:
     """An abstract reduction graph together with merge edges.
 
@@ -228,7 +227,7 @@ class ExtendedARG:
         if len(path) != len(merge):
             raise ValueError("reality and merge edges do not connect the graph")
         # the merge partners, s-t path and path positions, cached outside
-        # the dataclass fields
+        # the fields
         pos = [0] * len(path)
         for k, v in enumerate(path):
             pos[v] = k
@@ -269,7 +268,7 @@ def _merge_array(idx: _Index, edges: Iterable[Edge]) -> list[int]:
     return merge
 
 
-@dataclass(frozen=True, eq=True)
+@_value
 class CanonicalForm:
     """Complete isomorphism invariant of an abstract reduction graph.
 

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce as _fold
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 from .redgraph import build_reduction_graph, canonical_form
-from .strings import LegalString, _from_word, _is_symbol, _occurrences, _scan
+from .strings import LegalString, _from_word, _is_symbol, _occurrences, _scan, _value
 
 
 class NotApplicableError(ValueError):
@@ -51,7 +50,7 @@ class OrbitLimitError(RuntimeError):
     """Orbit enumeration hit its size budget before closing."""
 
 
-@dataclass(frozen=True)
+@_value
 class _Rule:
     """A rule instance: its kind, a key of _KINDS, and the distinct symbols it names."""
 
@@ -77,17 +76,17 @@ class _Rule:
         return f"{self.kind}({','.join(str(p) for p in self.pointers)})"
 
 
-@dataclass(frozen=True)
+@_value
 class StringRule(_Rule):
     """A reducing rule instance: snr(p), spr(p) or sdr(p,q)."""
 
 
-@dataclass(frozen=True)
+@_value
 class DualRule(_Rule):
     """A non-deleting rule instance: dspr(p) or dsdr(p,q)."""
 
 
-@dataclass(frozen=True)
+@_value
 class RuleSequence:
     """An ordered sequence of rule instances, applied left to right."""
 

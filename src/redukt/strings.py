@@ -23,7 +23,6 @@ Everything in this module is immutable and all operations are pure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -40,7 +39,48 @@ def _is_symbol(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 2
 
 
-@dataclass(frozen=True, order=True)
+def _value(cls=None, /, *, init=True, repr=True, order=False):
+    """Class decorator making cls a frozen value class over its annotated
+    fields, those of a decorated base class first.  It adds __init__
+    taking the fields in order, with the class attributes as defaults,
+    then calling __post_init__ if the class has one (unless init is
+    False); == between instances of one class and a hash, both over the
+    field tuple; the repr ClassName(field=...) (unless repr is False);
+    <, <=, > and >= over the field tuple between instances of one class
+    if order is True; and an AttributeError on every assignment or
+    deletion.  Instances keep a __dict__, where a class may cache values
+    that are not fields and so stay outside ==, hash and repr."""
+    if cls is None:
+        return lambda c: _value(c, init=init, repr=repr, order=order)
+    cls._fields = names = getattr(cls, "_fields", ()) + tuple(cls.__annotations__)
+    defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+    mine, theirs = ("(" + "".join(f"{o}.{n}, " for n in names) + ")" for o in ("self", "other"))
+    same = "if other.__class__ is self.__class__ else NotImplemented"
+    methods = {
+        "__eq__": f"(self, other): return {mine} == {theirs} {same}",
+        "__hash__": f"(self): return hash({mine})",
+        "__setattr__": "(self, name, value): raise AttributeError(f'cannot assign to {name!r}: the value is frozen')",
+        "__delattr__": "(self, name): raise AttributeError(f'cannot delete {name!r}: the value is frozen')",
+    }
+    if init:
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+        body = "".join(f"_set(self, {n!r}, {n}); " for n in names)
+        post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "pass"
+        methods["__init__"] = f"(self{params}): {body}{post}"
+    if repr:
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        methods["__repr__"] = f"(self): return f'{{self.__class__.__qualname__}}({shown})'"
+    if order:
+        for name, op in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
+            methods[name] = f"(self, other): return {mine} {op} {theirs} {same}"
+    scope = {"_set": object.__setattr__, "_defaults": defaults}
+    exec("\n".join(f"def {name}{text}" for name, text in methods.items()), scope)
+    for name in methods:
+        setattr(cls, name, scope[name])
+    return cls
+
+
+@_value(order=True)
 class Pointer:
     """One letter of a legal string: an unbarred symbol plus a bar flag."""
 
@@ -60,12 +100,12 @@ class Pointer:
         return f"-{self.symbol}" if self.barred else str(self.symbol)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@_value(init=False, repr=False)
 class LegalString:
     """An immutable sequence of pointers with every symbol occurring twice.
 
     The one field is the word _word, the letters as signed ints with -p
-    for a barred p; ==, hash and dataclasses.fields see only the word.
+    for a barred p; == and hash see only the word.
     The legality check, _scan, also builds the occurrence index _occ,
     symbol -> 0-based positions (i, j), i < j, kept outside the fields.
     The letters are computed from the word when read.
